@@ -24,13 +24,13 @@ seam or boundary condition consumes.
 from __future__ import annotations
 
 import cmath
-import heapq
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quadrature import _XK, _WG, _WK, BudgetExceededError, QuadratureResult
+from .quadrature import (BudgetExceededError, QuadratureResult,
+                         integrate_rows)
 
 _MAX_EXP = 640.0
 
@@ -80,82 +80,6 @@ def _check_height(h: float):
 
 
 # ---------------------------------------------------------------------------
-# vector-valued adaptive Gauss-Kronrod (shares nodes with quadrature core)
-
-def _vpanel(f, a, b):
-    half = 0.5 * (b - a)
-    x = 0.5 * (a + b) + half * _XK
-    y = np.asarray(f(x))  # shape (m, 15)
-    k = half * (y @ _WK)
-    g = half * (y @ _WG)
-    mean = k[:, None] / (b - a)
-    resasc = half * (np.abs(y - mean) @ _WK)
-    diff = np.abs(k - g)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scaled = resasc * np.minimum(1.0, (200.0 * diff / np.where(
-            resasc > 0, resasc, 1.0)) ** 1.5)
-    err = np.where(resasc > 0, scaled, diff)
-    return k, err
-
-
-def _vadaptive(f, points, abs_tols, rel_tol, budget):
-    """Adaptive refinement for a small vector of integrands sharing panels.
-
-    Panels are prioritized by their tolerance-scaled error so that one
-    component with a huge natural scale (already converged relatively)
-    cannot starve another component of refinement.
-    """
-    abs_tols = np.asarray(abs_tols, dtype=float)
-    m = abs_tols.size
-    heap = []
-    value = np.zeros(m, dtype=complex)
-    error = np.zeros(m)
-    evals = 0
-    tag = 0
-
-    def tolerances():
-        return np.maximum(abs_tols, rel_tol * np.abs(value))
-
-    def priority(err):
-        return -float(np.max(err / np.maximum(tolerances(), 1e-300)))
-
-    staged = []
-    for a, b in zip(points[:-1], points[1:]):
-        if not (b > a):
-            continue
-        k, err = _vpanel(f, a, b)
-        evals += 15
-        value += k
-        error += err
-        staged.append((a, b, k, err))
-    for a, b, k, err in staged:
-        heapq.heappush(heap, (priority(err), tag, a, b, k, err))
-        tag += 1
-    span = abs(points[0]) + abs(points[-1]) + 1.0
-    while heap:
-        if np.all(error <= tolerances()):
-            return value, error, evals, True
-        if evals + 30 > budget:
-            return value, error, evals, False
-        _, _, a, b, k_old, e_old = heapq.heappop(heap)
-        if (b - a) <= 1e-15 * (span + abs(a)):
-            if not heap:
-                break
-            continue
-        mid = 0.5 * (a + b)
-        k1, e1 = _vpanel(f, a, mid)
-        k2, e2 = _vpanel(f, mid, b)
-        evals += 30
-        value += (k1 + k2) - k_old
-        error += (e1 + e2) - e_old
-        heapq.heappush(heap, (priority(e1), tag, a, mid, k1, e1))
-        tag += 1
-        heapq.heappush(heap, (priority(e2), tag, mid, b, k2, e2))
-        tag += 1
-    return value, error, evals, bool(np.all(error <= tolerances()))
-
-
-# ---------------------------------------------------------------------------
 # the Herglotz integral engine
 
 @dataclass(frozen=True)
@@ -166,8 +90,8 @@ class QuadratureSettings:
 
 
 def _softplus(u):
-    return np.where(u > 0, u + np.log1p(np.exp(-np.abs(u))),
-                    np.log1p(np.exp(np.minimum(u, 0.0))))
+    # log(1 + e^u) = max(u, 0) + log1p(e^-|u|), overflow-free for any u.
+    return np.maximum(u, 0.0) + np.log1p(np.exp(-np.abs(u)))
 
 
 def _herglotz_knots(w: complex, side: int, s_floor: float,
@@ -231,12 +155,13 @@ def _herglotz(w: complex, p: float, settings: QuadratureSettings,
             tm = side * np.exp(np.minimum(s, 0.0))
             den = tm - w * em
             kernel = (em + tm * w) / den
-            qjac = _softplus(p * s) * 0.5 / np.cosh(s)
-            rows = [kernel * qjac]
+            sp = _softplus(p * s)
+            rows = np.empty((m, s.size), dtype=complex)
+            rows[0] = kernel * (sp * 0.5 / np.cosh(s))
             if want_deriv:
                 ues = np.exp(-0.5 * np.abs(s)) / den
-                rows.append(_softplus(p * s) * ues * ues)
-            return np.stack(rows)
+                rows[1] = sp * ues * ues
+            return rows
         return rows_fn
 
     value = np.zeros(m, dtype=complex)
@@ -249,8 +174,8 @@ def _herglotz(w: complex, p: float, settings: QuadratureSettings,
             raise BudgetExceededError(
                 "Herglotz integral ran out of budget",
                 QuadratureResult(complex(value[0]), float(error[0]), evals))
-        v, e, n, ok = _vadaptive(integrand(side), pts, abs_tols / 2.0,
-                                 settings.rel_tol, budget)
+        v, e, n, ok = integrate_rows(integrand(side), pts, abs_tols / 2.0,
+                                     settings.rel_tol, budget)
         value += v
         error += e
         evals += n
@@ -304,6 +229,11 @@ class PoissonSolution:
     def power(self) -> float:
         return 4.0 * self.h / math.pi
 
+    @property
+    def x_cap(self) -> float:
+        """Largest |Re z| whose half-plane point stays representable."""
+        return _MAX_EXP * 2.0 * self.h / math.pi
+
     def halfplane_point(self, z: complex) -> complex:
         e = math.pi * complex(z).real / (2.0 * self.h)
         if abs(e) > _MAX_EXP:
@@ -336,12 +266,6 @@ def log_f(sol: PoissonSolution, z: complex) -> complex:
 
 def f_eval(sol: PoissonSolution, z: complex) -> complex:
     return sol.sign * cmath.exp(log_f(sol, z))
-
-
-def f_eval_scaled(sol: PoissonSolution, z: complex, gauge: float) -> complex:
-    """f(z) * exp(-gauge); keeps top-coordinate magnitudes near unity when a
-    homogeneous lift is rescaled by exp(-max(Re z, 0))."""
-    return sol.sign * cmath.exp(log_f(sol, z) - gauge)
 
 
 def f_and_derivative(sol: PoissonSolution, z: complex,

@@ -1,17 +1,35 @@
 """Constructors for the explicit holomorphic strips and quilted strips.
 
-Every map is carried as a holomorphic homogeneous lift evaluated in a scaled
-gauge: evaluators accept an exponent array g and return u(z) * exp(-g), so
-coordinates built from exp(z) stay representable for |Re z| up to several
-hundred.  A constant gauge per evaluation point preserves holomorphy of the
-lift and cancels in every projective quantity (density, residuals, chordal
-distances).
+Every map is an ``AnalyticMap`` carried by a holomorphic homogeneous lift
+and one evaluator, ``evaluate(z, gauge, deriv)``.  For a 1-d complex array
+z and a float array gauge of the same shape it returns the lift times
+exp(-gauge), one row per point; with ``deriv`` true it returns the pair
+(rows, z-derivative rows) under the same gauge.  The gauge is
+max(Re z, 0): a constant gauge per evaluation point preserves holomorphy of
+the lift and cancels in every projective quantity (density, residuals,
+chordal distances), and it keeps coordinates built from exp(z)
+representable for |Re z| up to several hundred.  Only the index-one pair
+(e^z + 1, e^z - 1) uses it; the other closed forms ignore it.
+
+``Regime`` names the numerical regime the verifier branches on: constant
+maps, rationally decaying maps (whole-line area integrals), exponentially
+decaying maps (truncated area integrals with a tail bound), and
+exponentially decaying maps whose last coordinate comes from quadrature
+(coarse holomorphy stencils, |Re z| capped by ``x_cap``).  On the top edge
+of a quadrature-backed patch that coordinate is the extrapolated modulus,
+which is all the phase-blind seam residual consumes.
+
+The maps are built by one builder per kind: a Moebius coordinate in one
+slot, a constant, an affine map, and the index-one pair with an optional
+quadrature-backed last coordinate.  Catalog ids follow one grammar, the
+``_IDS`` table, which ``resolve`` parses.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import re
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -22,8 +40,9 @@ from .analysis import (BlaschkeData, PoissonSolution, QuadratureSettings,
                        boundary_modulus, f_and_derivative, log_f)
 from .geometry import LagrangianId, ProjectivePoint, normalize
 
-SIGNS = {"p": +1, "m": -1}
+SIGNS = {"p": +1, "m": -1, "plus": +1, "minus": -1}
 _SIG = {+1: "p", -1: "m"}
+_PM = {+1: "plus", -1: "minus"}
 
 HALF_PI = math.pi / 2.0
 
@@ -31,39 +50,23 @@ HALF_PI = math.pi / 2.0
 class RegionKind(enum.Enum):
     STRIP = "strip"
     HALF_PLANE_ABOVE = "half_plane_above"
-    HALF_PLANE_BELOW = "half_plane_below"
 
 
 @dataclass(frozen=True)
 class PatchRegion:
     kind: RegionKind
-    y_lo: float | None = None
+    y_lo: float
     y_hi: float | None = None
 
     def __post_init__(self):
-        if self.kind is RegionKind.STRIP:
-            if self.y_lo is None or self.y_hi is None or \
-                    not (self.y_lo < self.y_hi):
-                raise ValueError("strip region needs y_lo < y_hi")
-        elif self.kind is RegionKind.HALF_PLANE_ABOVE:
-            if self.y_lo is None:
-                raise ValueError("half plane needs its edge height")
-        elif self.kind is RegionKind.HALF_PLANE_BELOW:
-            if self.y_hi is None:
-                raise ValueError("half plane needs its edge height")
-
-    def contains(self, z, tol: float = 1e-12) -> bool:
-        y = complex(z).imag
-        lo = -math.inf if self.y_lo is None else self.y_lo - tol
-        hi = math.inf if self.y_hi is None else self.y_hi + tol
-        return lo <= y <= hi
+        if self.kind is RegionKind.STRIP and \
+                (self.y_hi is None or not (self.y_lo < self.y_hi)):
+            raise ValueError("strip region needs y_lo < y_hi")
 
     def edges(self) -> tuple[float, ...]:
         if self.kind is RegionKind.STRIP:
             return (self.y_lo, self.y_hi)
-        if self.kind is RegionKind.HALF_PLANE_ABOVE:
-            return (self.y_lo,)
-        return (self.y_hi,)
+        return (self.y_lo,)
 
 
 def strip(y_lo: float, y_hi: float) -> PatchRegion:
@@ -71,7 +74,7 @@ def strip(y_lo: float, y_hi: float) -> PatchRegion:
 
 
 def half_plane_above(y_lo: float) -> PatchRegion:
-    return PatchRegion(RegionKind.HALF_PLANE_ABOVE, y_lo=y_lo)
+    return PatchRegion(RegionKind.HALF_PLANE_ABOVE, y_lo)
 
 
 # ---------------------------------------------------------------------------
@@ -102,77 +105,132 @@ def _exp_pair(z, gauge):
 # ---------------------------------------------------------------------------
 # analytic maps
 
+class Regime(enum.Enum):
+    CONSTANT = "constant"
+    RATIONAL = "rational"
+    EXPONENTIAL = "exponential"
+    QUADRATURE = "quadrature"
+
+
 @dataclass
 class AnalyticMap:
-    """Evaluatable holomorphic map into CP^n carried by a homogeneous lift.
-
-    ``values_fn(z, gauge)`` returns the lift times exp(-gauge); ``derivs_fn``
-    its z-derivative under the same gauge.  ``fused_fn`` computes both in one
-    pass when evaluation is quadrature-backed.  ``top_edge_rows_fn`` supplies
-    trace values on the top edge for maps whose last coordinate is reached
-    there only through modulus extrapolation.
-    """
+    """Evaluatable holomorphic map into CP^n carried by a homogeneous lift;
+    the evaluator contract is in the module docstring."""
 
     label: str
     region: PatchRegion
     target_dim: int
-    values_fn: Callable
-    derivs_fn: Callable | None = None
-    fused_fn: Callable | None = None
-    maslov: int | None = None
-    decay: str = "exp"              # exp | rational | constant
-    gauge_mode: str = "none"        # none | exp
+    evaluate: Callable
+    regime: Regime
+    x_cap: float = math.inf         # largest |Re z| the evaluator represents
     endpoints: tuple[str, str] | None = None
     boundary_tags: tuple = (None, None)
-    top_edge_rows_fn: Callable | None = None
     limit_labels: dict = field(default_factory=dict)
 
-    # -- evaluation --------------------------------------------------------
-    def default_gauge(self, z: np.ndarray) -> np.ndarray:
-        if self.gauge_mode == "exp":
-            return np.maximum(np.asarray(z).real, 0.0)
-        return np.zeros(np.shape(z))
+    def _points(self, z, gauge):
+        z = np.atleast_1d(np.asarray(z, dtype=complex))
+        g = np.maximum(z.real, 0.0) if gauge is None else \
+            np.broadcast_to(np.asarray(gauge, dtype=float), z.shape)
+        return z, g
 
     def values(self, z, gauge=None) -> np.ndarray:
-        z = np.atleast_1d(np.asarray(z, dtype=complex))
-        g = self.default_gauge(z) if gauge is None else \
-            np.broadcast_to(np.asarray(gauge, dtype=float), z.shape)
-        return self.values_fn(z, g)
+        return self.evaluate(*self._points(z, gauge), False)
 
     def values_and_derivs(self, z, gauge=None):
-        z = np.atleast_1d(np.asarray(z, dtype=complex))
-        g = self.default_gauge(z) if gauge is None else \
-            np.broadcast_to(np.asarray(gauge, dtype=float), z.shape)
-        if self.fused_fn is not None:
-            return self.fused_fn(z, g)
-        if self.derivs_fn is None:
-            raise ValueError(f"{self.label} has no derivative evaluator")
-        return self.values_fn(z, g), self.derivs_fn(z, g)
+        return self.evaluate(*self._points(z, gauge), True)
 
     def point(self, z) -> ProjectivePoint:
         return normalize(self.values(z)[0])
 
-    @property
-    def is_constant(self) -> bool:
-        return self.decay == "constant"
-
-    @property
-    def has_derivative(self) -> bool:
-        return self.derivs_fn is not None or self.fused_fn is not None
-
     def seam_rows(self, x: np.ndarray, y: float) -> np.ndarray:
-        """Values along a horizontal edge.  Quadrature-backed maps hand the
-        top edge to a dedicated trace evaluator: the entire head coordinates
-        are evaluated exactly on the line and the last coordinate enters
-        through its extrapolated modulus, which is all the phase-blind seam
-        residual consumes."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        top = self.region.y_hi
-        if self.top_edge_rows_fn is not None and top is not None \
-                and abs(y - top) <= 1e-12 * max(1.0, abs(top)):
-            return self.top_edge_rows_fn(x)
-        z = x + 1j * y
-        return self.values(z)
+        """Values along the horizontal line Im z = y."""
+        return self.values(np.atleast_1d(np.asarray(x, dtype=float)) + 1j * y)
+
+
+def _moebius_slot(label, region, slot, signs, scale=1.0,
+                  **fields) -> AnalyticMap:
+    """signs[k] times 1 in every coordinate k but ``slot``, which carries
+    the Moebius coordinate of scale * z."""
+    def evaluate(z, gauge, deriv):
+        m = mobius_tanh(scale * z)
+        one = np.ones_like(m)
+        rows = np.stack([s * (m if k == slot else one)
+                         for k, s in enumerate(signs)], axis=1)
+        if not deriv:
+            return rows
+        dm = scale * mobius_tanh_derivative(scale * z)
+        zero = np.zeros_like(dm)
+        return rows, np.stack([s * dm if k == slot else zero
+                               for k, s in enumerate(signs)], axis=1)
+
+    return AnalyticMap(label=label, region=region, target_dim=len(signs) - 1,
+                       evaluate=evaluate, regime=Regime.EXPONENTIAL, **fields)
+
+
+def _constant(label, region, signs) -> AnalyticMap:
+    def evaluate(z, gauge, deriv):
+        one = np.ones_like(z)
+        rows = np.stack([s * one for s in signs], axis=1)
+        return (rows, np.zeros_like(rows)) if deriv else rows
+
+    return AnalyticMap(label=label, region=region, target_dim=len(signs) - 1,
+                       evaluate=evaluate, regime=Regime.CONSTANT)
+
+
+def _affine(label, region, a, b) -> AnalyticMap:
+    """Coordinates a[k] z + b[k]."""
+    a = np.array(a, dtype=complex)
+    b = np.array(b, dtype=complex)
+
+    def evaluate(z, gauge, deriv):
+        rows = z[:, None] * a + b
+        return (rows, np.broadcast_to(a, rows.shape)) if deriv else rows
+
+    return AnalyticMap(label=label, region=region, target_dim=a.size - 1,
+                       evaluate=evaluate, regime=Regime.RATIONAL)
+
+
+def _top_edge_or_value(sol: PoissonSolution, z, gauge):
+    """sol.sign * f(z) * exp(-gauge), except on the top edge, where direct
+    quadrature cannot reach and only the extrapolated modulus
+    |f| * exp(-gauge) is returned."""
+    if abs(z.imag - sol.h) <= 1e-12 * max(1.0, sol.h):
+        return math.sqrt(boundary_modulus(sol, z.real)) * math.exp(-gauge)
+    return sol.sign * np.exp(log_f(sol, z) - gauge)
+
+
+def _index_one(label, region, variant, s1, sol=None,
+               **fields) -> AnalyticMap:
+    """(e^z + 1, s1 (e^z - 1)) for variant 0 or (e^z - 1, s1 (e^z + 1)) for
+    variant 1, with the strip solution sol as a quadrature-backed last
+    coordinate when given."""
+    def evaluate(z, gauge, deriv):
+        plus, minus = _exp_pair(z, gauge)
+        cols = [plus, s1 * minus] if variant == 0 else [minus, s1 * plus]
+        if deriv:
+            a = np.exp(z - gauge)
+            dcols = [a, s1 * a]
+        if sol is not None:
+            third = np.empty(z.shape, dtype=complex)
+            if deriv:
+                dthird = np.empty(z.shape, dtype=complex)
+                for k, (zz, gg) in enumerate(zip(z, gauge)):
+                    third[k], dthird[k] = f_and_derivative(sol, zz, gg)
+                dcols.append(dthird)
+            else:
+                for k, (zz, gg) in enumerate(zip(z, gauge)):
+                    third[k] = _top_edge_or_value(sol, zz, gg)
+            cols.append(third)
+        rows = np.stack(cols, axis=1)
+        return (rows, np.stack(dcols, axis=1)) if deriv else rows
+
+    if sol is None:
+        return AnalyticMap(label=label, region=region, target_dim=1,
+                           evaluate=evaluate, regime=Regime.EXPONENTIAL,
+                           **fields)
+    return AnalyticMap(label=label, region=region, target_dim=2,
+                       evaluate=evaluate, regime=Regime.QUADRATURE,
+                       x_cap=sol.x_cap, **fields)
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +261,6 @@ class Quilt:
     family: str
     h: float | None = None
     expected_area: float | None = None
-    limit_info: dict = field(default_factory=dict)
 
     def __post_init__(self):
         for seam in self.seams:
@@ -224,6 +281,21 @@ class Quilt:
                         "neither a seam nor a boundary condition")
 
 
+def _seamed(label: str, family: str, u2: AnalyticMap, u1: AnalyticMap,
+            bottom: LagrangianId, h: float | None = None) -> Quilt:
+    """A CP^2 patch on a strip from Im z = 0, seamed along its top edge to
+    the CP^1 patch above it; a CP^1 strip carries the Clifford circle on
+    its top edge."""
+    boundaries = (BoundaryEdge(0, "bottom", 0.0, bottom),)
+    if u1.region.kind is RegionKind.STRIP:
+        boundaries += (BoundaryEdge(1, "top", u1.region.y_hi,
+                                    LagrangianId.S1_CLIFFORD),)
+    return Quilt(label=label, patches=(u2, u1),
+                 seams=(Seam(cp1_patch=1, cp2_patch=0, y=u2.region.y_hi),),
+                 boundaries=boundaries, family=family, h=h,
+                 expected_area=0.5)
+
+
 # ---------------------------------------------------------------------------
 # rigid strips
 
@@ -231,34 +303,31 @@ def _gen(s1: int, s2: int) -> str:
     return f"p{'+' if s1 > 0 else '-'}{'+' if s2 > 0 else '-'}"
 
 
+# source generator of the strip with the Moebius coordinate in slot i: the
+# signs it flips relative to the target generator
+_SOURCE_FLIPS = ((-1, -1), (-1, +1), (+1, -1))
+
+_RIGID = {2: ("floer.cp2.u", LagrangianId.RP2, LagrangianId.T2_CLIFFORD),
+          1: ("floer.cp1.v", LagrangianId.GAMMA_IMAGE,
+              LagrangianId.S1_CLIFFORD)}
+
+
+def _rigid_strip(dim: int, i: int, s1: int, s2: int) -> AnalyticMap:
+    if i not in range(dim + 1) or s1 not in (+1, -1) or s2 not in (+1, -1):
+        raise ValueError(f"need i in 0..{dim} and signs in {{+1,-1}}")
+    stem, bottom, top = _RIGID[dim]
+    f1, f2 = _SOURCE_FLIPS[i]
+    return _moebius_slot(
+        f"{stem}{i}.{_SIG[s1]}{_SIG[s2]}", strip(0.0, HALF_PI), i,
+        (1, s1, s2)[:dim + 1], endpoints=(_gen(f1 * s1, f2 * s2),
+                                          _gen(s1, s2)),
+        boundary_tags=(bottom, top))
+
+
 def make_floer_strip_cp2(i: int, s1: int, s2: int) -> AnalyticMap:
     """The twelve index-one strips into CP^2 on 0 <= Im z <= pi/2, with the
     moving Moebius coordinate in slot i."""
-    if i not in (0, 1, 2) or s1 not in (+1, -1) or s2 not in (+1, -1):
-        raise ValueError("need i in {0,1,2} and signs in {+1,-1}")
-
-    def vals(z, g, i=i, s1=s1, s2=s2):
-        m = mobius_tanh(z)
-        one = np.ones_like(m)
-        cols = {0: (m, s1 * one, s2 * one),
-                1: (one, s1 * m, s2 * one),
-                2: (one, s1 * one, s2 * m)}[i]
-        return np.stack(cols, axis=1)
-
-    def ders(z, g, i=i, s1=s1, s2=s2):
-        dm = mobius_tanh_derivative(z)
-        zero = np.zeros_like(dm)
-        cols = {0: (dm, zero, zero), 1: (zero, s1 * dm, zero),
-                2: (zero, zero, s2 * dm)}[i]
-        return np.stack(cols, axis=1)
-
-    src = {0: _gen(-s1, -s2), 1: _gen(-s1, s2), 2: _gen(s1, -s2)}[i]
-    return AnalyticMap(
-        label=f"floer.cp2.u{i}.{_SIG[s1]}{_SIG[s2]}",
-        region=strip(0.0, HALF_PI), target_dim=2,
-        values_fn=vals, derivs_fn=ders, maslov=1, decay="exp",
-        endpoints=(src, _gen(s1, s2)),
-        boundary_tags=(LagrangianId.RP2, LagrangianId.T2_CLIFFORD))
+    return _rigid_strip(2, i, s1, s2)
 
 
 def make_floer_strip_cp1(i: int, s1: int, s2: int) -> AnalyticMap:
@@ -266,204 +335,66 @@ def make_floer_strip_cp1(i: int, s1: int, s2: int) -> AnalyticMap:
     sheet of the double cover along the bottom boundary lift: continuing the
     real lift across the strip flips both signs for the i = 0 family and the
     first sign only for i = 1."""
-    if i not in (0, 1) or s1 not in (+1, -1) or s2 not in (+1, -1):
-        raise ValueError("need i in {0,1} and signs in {+1,-1}")
-
-    def vals(z, g, i=i, s1=s1):
-        m = mobius_tanh(z)
-        one = np.ones_like(m)
-        cols = {0: (m, s1 * one), 1: (one, s1 * m)}[i]
-        return np.stack(cols, axis=1)
-
-    def ders(z, g, i=i, s1=s1):
-        dm = mobius_tanh_derivative(z)
-        zero = np.zeros_like(dm)
-        cols = {0: (dm, zero), 1: (zero, s1 * dm)}[i]
-        return np.stack(cols, axis=1)
-
-    src = {0: _gen(-s1, -s2), 1: _gen(-s1, s2)}[i]
-    return AnalyticMap(
-        label=f"floer.cp1.v{i}.{_SIG[s1]}{_SIG[s2]}",
-        region=strip(0.0, HALF_PI), target_dim=1,
-        values_fn=vals, derivs_fn=ders, maslov=1, decay="exp",
-        endpoints=(src, _gen(s1, s2)),
-        boundary_tags=(LagrangianId.GAMMA_IMAGE, LagrangianId.S1_CLIFFORD))
+    return _rigid_strip(1, i, s1, s2)
 
 
 # ---------------------------------------------------------------------------
 # the twelve fibered quilts at height h
 
 def _h_tag(h: float) -> str:
-    return f"{h:.6g}"
+    """Six significant digits when they round-trip, else the exact repr."""
+    tag = f"{h:.6g}"
+    return tag if float(tag) == h else repr(float(h))
+
+
+def _check_height(h: float):
+    if not (0.0 < h < HALF_PI):
+        raise ValueError("h must lie in (0, pi/2)")
 
 
 def make_const_projection_quilt(h: float, s1: int, s2: int) -> Quilt:
     """Quilted strip with constant CP^1 part: the CP^2 patch carries the
     reparametrized Moebius coordinate in the last slot."""
-    if not (0.0 < h < HALF_PI):
-        raise ValueError("h must lie in (0, pi/2)")
-    scale = math.pi / (2.0 * h)
-
-    def vals(z, g, s1=s1, s2=s2, scale=scale):
-        m = mobius_tanh(scale * z)
-        one = np.ones_like(m)
-        return np.stack((one, s1 * one, s2 * m), axis=1)
-
-    def ders(z, g, s2=s2, scale=scale):
-        dm = scale * mobius_tanh_derivative(scale * z)
-        zero = np.zeros_like(dm)
-        return np.stack((zero, zero, s2 * dm), axis=1)
-
-    u2 = AnalyticMap(
-        label=f"const.u2.{_SIG[s1]}{_SIG[s2]}", region=strip(0.0, h),
-        target_dim=2, values_fn=vals, derivs_fn=ders, maslov=1, decay="exp",
+    _check_height(h)
+    u2 = _moebius_slot(
+        f"const.u2.{_SIG[s1]}{_SIG[s2]}", strip(0.0, h), 2, (1, s1, s2),
+        scale=math.pi / (2.0 * h),
         limit_labels={"h_to_pi2": f"floer.cp2.u2.{_SIG[s1]}{_SIG[s2]}"})
-
-    def const_vals(z, g, s1=s1):
-        one = np.ones_like(np.asarray(z, dtype=complex))
-        return np.stack((one, s1 * one), axis=1)
-
-    def const_ders(z, g):
-        zero = np.zeros_like(np.asarray(z, dtype=complex))
-        return np.stack((zero, zero), axis=1)
-
-    u1 = AnalyticMap(
-        label=f"const.u1.{_SIG[s1]}", region=strip(h, HALF_PI), target_dim=1,
-        values_fn=const_vals, derivs_fn=const_ders, decay="constant")
-
-    return Quilt(
-        label=f"quilt.const.h{_h_tag(h)}.{_SIG[s1]}{_SIG[s2]}",
-        patches=(u2, u1),
-        seams=(Seam(cp1_patch=1, cp2_patch=0, y=h),),
-        boundaries=(BoundaryEdge(0, "bottom", 0.0, LagrangianId.RP2),
-                    BoundaryEdge(1, "top", HALF_PI,
-                                 LagrangianId.S1_CLIFFORD)),
-        family="const", h=h, expected_area=0.5,
-        limit_info={"bubble": f"bubble.sheet_switch.{_SIG[s1]}{_SIG[s2]}"})
+    u1 = _constant(f"const.u1.{_SIG[s1]}", strip(h, HALF_PI), (1, s1))
+    return _seamed(f"quilt.const.h{_h_tag(h)}.{_SIG[s1]}{_SIG[s2]}",
+                   "const", u2, u1, LagrangianId.RP2, h)
 
 
 def make_maslov1_quilt(h: float, variant: int, s1: int, fsign: int,
                        settings: QuadratureSettings | None = None) -> Quilt:
     """Quilted strip whose CP^1 part is an index-one Moebius strip and whose
     CP^2 patch closes up with the quadrature-backed boundary solution."""
-    if not (0.0 < h < HALF_PI):
-        raise ValueError("h must lie in (0, pi/2)")
+    _check_height(h)
     if variant not in (0, 1):
         raise ValueError("variant must be 0 or 1")
     sol = PoissonSolution(h, fsign, settings or QuadratureSettings())
-
-    def head(z, g, variant=variant, s1=s1):
-        plus, minus = _exp_pair(z, g)
-        if variant == 0:
-            return plus, s1 * minus
-        return minus, s1 * plus
-
-    def head_der(z, g, variant=variant, s1=s1):
-        a = np.exp(z - g)
-        if variant == 0:
-            return a, s1 * a
-        return a, s1 * a
-
-    def u2_vals(z, g, sol=sol):
-        c0, c1 = head(z, g)
-        third = np.array([sol.sign * np.exp(log_f(sol, zz) - gg)
-                          for zz, gg in zip(z, g)], dtype=complex)
-        return np.stack((c0, c1, third), axis=1)
-
-    def u2_fused(z, g, sol=sol):
-        c0, c1 = head(z, g)
-        d0, d1 = head_der(z, g)
-        fs = np.empty(z.shape, dtype=complex)
-        dfs = np.empty(z.shape, dtype=complex)
-        for k, (zz, gg) in enumerate(zip(z, g)):
-            fs[k], dfs[k] = f_and_derivative(sol, zz, gg)
-        vals = np.stack((c0, c1, fs), axis=1)
-        ders = np.stack((d0, d1, dfs), axis=1)
-        return vals, ders
-
-    def u2_top_rows(x, sol=sol, h=h):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        z = x + 1j * h
-        g = np.maximum(x, 0.0)
-        c0, c1 = head(z, g)
-        third = np.array([math.sqrt(boundary_modulus(sol, xx)) *
-                          math.exp(-gg) for xx, gg in zip(x, g)])
-        return np.stack((c0, c1, third.astype(complex)), axis=1)
-
-    u2 = AnalyticMap(
-        label=f"maslov1.u2.v{variant}.{_SIG[s1]}.f{_SIG[fsign]}",
-        region=strip(0.0, h), target_dim=2, values_fn=u2_vals,
-        fused_fn=u2_fused, maslov=1, decay="exp", gauge_mode="exp",
-        top_edge_rows_fn=u2_top_rows,
-        limit_labels={"h_to_pi2":
-                      (f"floer.cp2.u1.{_SIG[s1]}{_SIG[fsign]}" if variant == 0
-                       else f"floer.cp2.u0.{_SIG[s1]}{_SIG[fsign]}")})
-
-    def u1_vals(z, g):
-        c0, c1 = head(z, g)
-        return np.stack((c0, c1), axis=1)
-
-    def u1_ders(z, g):
-        d0, d1 = head_der(z, g)
-        return np.stack((d0, d1), axis=1)
-
+    u2 = _index_one(
+        f"maslov1.u2.v{variant}.{_SIG[s1]}.f{_SIG[fsign]}", strip(0.0, h),
+        variant, s1, sol, limit_labels={"h_to_pi2": (
+            f"floer.cp2.u{1 - variant}.{_SIG[s1]}{_SIG[fsign]}")})
     # The CP^1 patch formulas carry no sheet data; the h -> 0 comparison
     # strips are taken on the + sheet (the chordal distance cannot see it).
-    u1 = AnalyticMap(
-        label=f"maslov1.u1.v{variant}.{_SIG[s1]}",
-        region=strip(h, HALF_PI), target_dim=1, values_fn=u1_vals,
-        derivs_fn=u1_ders, maslov=1, decay="exp", gauge_mode="exp",
-        limit_labels={"h_to_0":
-                      (f"floer.cp1.v1.{_SIG[s1]}p" if variant == 0
-                       else f"floer.cp1.v0.{_SIG[s1]}p")})
-
-    return Quilt(
-        label=(f"quilt.maslov1.h{_h_tag(h)}.v{variant}.{_SIG[s1]}"
-               f".f{'plus' if fsign > 0 else 'minus'}"),
-        patches=(u2, u1),
-        seams=(Seam(cp1_patch=1, cp2_patch=0, y=h),),
-        boundaries=(BoundaryEdge(0, "bottom", 0.0, LagrangianId.RP2),
-                    BoundaryEdge(1, "top", HALF_PI,
-                                 LagrangianId.S1_CLIFFORD)),
-        family="maslov1", h=h, expected_area=0.5)
+    u1 = _index_one(
+        f"maslov1.u1.v{variant}.{_SIG[s1]}", strip(h, HALF_PI), variant, s1,
+        limit_labels={"h_to_0": f"floer.cp1.v{1 - variant}.{_SIG[s1]}p"})
+    return _seamed(f"quilt.maslov1.h{_h_tag(h)}.v{variant}.{_SIG[s1]}"
+                   f".f{_PM[fsign]}", "maslov1", u2, u1, LagrangianId.RP2, h)
 
 
 def make_eight_bubble_sheet_switch(s1: int, s2: int) -> Quilt:
     """Limit configuration at h -> 0: an index-one CP^2 strip seamed along
     Im z = pi/2 to a constant CP^1 half-plane."""
-    def vals(z, g, s1=s1, s2=s2):
-        m = mobius_tanh(z)
-        one = np.ones_like(m)
-        return np.stack((one, s1 * one, s2 * m), axis=1)
-
-    def ders(z, g, s2=s2):
-        dm = mobius_tanh_derivative(z)
-        zero = np.zeros_like(dm)
-        return np.stack((zero, zero, s2 * dm), axis=1)
-
-    v2 = AnalyticMap(label=f"bubble.v2.{_SIG[s1]}{_SIG[s2]}",
-                     region=strip(0.0, HALF_PI), target_dim=2,
-                     values_fn=vals, derivs_fn=ders, maslov=1, decay="exp")
-
-    def const_vals(z, g, s1=s1):
-        one = np.ones_like(np.asarray(z, dtype=complex))
-        return np.stack((one, s1 * one), axis=1)
-
-    def const_ders(z, g):
-        zero = np.zeros_like(np.asarray(z, dtype=complex))
-        return np.stack((zero, zero), axis=1)
-
-    v1 = AnalyticMap(label=f"bubble.v1.{_SIG[s1]}",
-                     region=half_plane_above(HALF_PI), target_dim=1,
-                     values_fn=const_vals, derivs_fn=const_ders,
-                     decay="constant")
-
-    return Quilt(
-        label=f"bubble.sheet_switch.{_SIG[s1]}{_SIG[s2]}",
-        patches=(v2, v1),
-        seams=(Seam(cp1_patch=1, cp2_patch=0, y=HALF_PI),),
-        boundaries=(BoundaryEdge(0, "bottom", 0.0, LagrangianId.RP2),),
-        family="bubble", expected_area=0.5)
+    v2 = _moebius_slot(f"bubble.v2.{_SIG[s1]}{_SIG[s2]}",
+                       strip(0.0, HALF_PI), 2, (1, s1, s2))
+    v1 = _constant(f"bubble.v1.{_SIG[s1]}", half_plane_above(HALF_PI),
+                   (1, s1))
+    return _seamed(f"bubble.sheet_switch.{_SIG[s1]}{_SIG[s2]}", "bubble",
+                   v2, v1, LagrangianId.RP2)
 
 
 def make_acw_quilt(sign: int) -> Quilt:
@@ -472,35 +403,12 @@ def make_acw_quilt(sign: int) -> Quilt:
     identity 2|z-6i|^2 = |z+6i|^2 + |z|^2 on Im z = 1."""
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
-
-    def u2_vals(z, g, sign=sign):
-        return np.stack((sign * (z + 6j), 1j * z, sign * (z - 6j)), axis=1)
-
-    def u2_ders(z, g, sign=sign):
-        one = np.ones_like(z)
-        return np.stack((sign * one, 1j * one, sign * one), axis=1)
-
-    u2 = AnalyticMap(label=f"acw.u2.{_SIG[sign]}", region=strip(0.0, 1.0),
-                     target_dim=2, values_fn=u2_vals, derivs_fn=u2_ders,
-                     maslov=1, decay="rational")
-
-    def u1_vals(z, g, sign=sign):
-        return np.stack((sign * (z + 6j), 1j * z), axis=1)
-
-    def u1_ders(z, g, sign=sign):
-        one = np.ones_like(z)
-        return np.stack((sign * one, 1j * one), axis=1)
-
-    u1 = AnalyticMap(label=f"acw.u1.{_SIG[sign]}", region=half_plane_above(1.0),
-                     target_dim=1, values_fn=u1_vals, derivs_fn=u1_ders,
-                     maslov=1, decay="rational")
-
-    return Quilt(
-        label=f"quilt.acw.{'plus' if sign > 0 else 'minus'}",
-        patches=(u2, u1),
-        seams=(Seam(cp1_patch=1, cp2_patch=0, y=1.0),),
-        boundaries=(BoundaryEdge(0, "bottom", 0.0, LagrangianId.L_AC),),
-        family="acw", expected_area=0.5)
+    u2 = _affine(f"acw.u2.{_SIG[sign]}", strip(0.0, 1.0),
+                 (sign, 1j, sign), (6j * sign, 0.0, -6j * sign))
+    u1 = _affine(f"acw.u1.{_SIG[sign]}", half_plane_above(1.0),
+                 (sign, 1j), (6j * sign, 0.0))
+    return _seamed(f"quilt.acw.{_PM[sign]}", "acw", u2, u1,
+                   LagrangianId.L_AC)
 
 
 def with_blaschke(quilt: Quilt, data: BlaschkeData) -> Quilt:
@@ -514,27 +422,21 @@ def with_blaschke(quilt: Quilt, data: BlaschkeData) -> Quilt:
         raise ValueError("Blaschke data height must match the quilt")
     base = quilt.patches[0]
 
-    def vals(z, g, base=base, data=data):
-        rows = base.values_fn(z, g).copy()
-        rows[:, 2] = rows[:, 2] * blaschke_eval(data, z)
-        return rows
-
-    def fused(z, g, base=base, data=data):
-        rows, ders = base.values_and_derivs(z, g)
-        rows = rows.copy()
-        ders = ders.copy()
+    def evaluate(z, gauge, deriv):
+        out = base.evaluate(z, gauge, deriv)
+        rows = (out[0] if deriv else out).copy()
         b = blaschke_eval(data, z)
-        ldb = blaschke_log_derivative(data, z)
-        ders[:, 2] = ders[:, 2] * b + rows[:, 2] * b * ldb
+        if deriv:
+            ders = out[1].copy()
+            ders[:, 2] = ders[:, 2] * b + \
+                rows[:, 2] * b * blaschke_log_derivative(data, z)
         rows[:, 2] = rows[:, 2] * b
-        return rows, ders
+        return (rows, ders) if deriv else rows
 
-    # |b| = 1 exactly on the top edge, so the extrapolated trace is reused.
     twisted = AnalyticMap(
         label=base.label + ".blaschke", region=base.region,
-        target_dim=base.target_dim, values_fn=vals, fused_fn=fused,
-        maslov=None, decay=base.decay, gauge_mode=base.gauge_mode,
-        top_edge_rows_fn=base.top_edge_rows_fn)
+        target_dim=base.target_dim, evaluate=evaluate, regime=base.regime,
+        x_cap=base.x_cap)
 
     return Quilt(
         label=quilt.label + ".blaschke" +
@@ -548,11 +450,8 @@ def with_blaschke(quilt: Quilt, data: BlaschkeData) -> Quilt:
 # registry
 
 def all_floer_strips() -> list[AnalyticMap]:
-    strips = [make_floer_strip_cp2(i, s1, s2)
-              for i in (0, 1, 2) for s1 in (+1, -1) for s2 in (+1, -1)]
-    strips += [make_floer_strip_cp1(i, s1, s2)
-               for i in (0, 1) for s1 in (+1, -1) for s2 in (+1, -1)]
-    return strips
+    return [_rigid_strip(dim, i, s1, s2) for dim in (2, 1)
+            for i in range(dim + 1) for s1 in (+1, -1) for s2 in (+1, -1)]
 
 
 def sector_family(h: float,
@@ -567,70 +466,51 @@ def sector_family(h: float,
     return quilts
 
 
-def family_limit_entries(family: str, end: str) -> list[str]:
-    """Catalog ids of the degenerate fiber entries at the interval ends."""
-    if family == "const" and end == "h_to_pi2":
-        return [f"floer.cp2.u2.{a}{b}" for a in "pm" for b in "pm"]
-    if family == "const" and end == "h_to_0":
-        return [f"bubble.sheet_switch.{a}{b}" for a in "pm" for b in "pm"]
-    if family == "maslov1" and end == "h_to_pi2":
-        return [f"floer.cp2.u{i}.{a}{b}" for i in (0, 1)
-                for a in "pm" for b in "pm"]
-    if family == "maslov1" and end == "h_to_0":
-        return [f"floer.cp1.v{i}.{a}{b}" for i in (0, 1)
-                for a in "pm" for b in "pm"]
-    raise KeyError((family, end))
-
-
 def catalog_ids(h: float | None = None) -> list[str]:
     ids = [m.label for m in all_floer_strips()]
-    ids += [f"bubble.sheet_switch.{a}{b}" for a in "pm" for b in "pm"]
-    ids += ["quilt.acw.plus", "quilt.acw.minus"]
-    if h is not None:
-        tag = _h_tag(h)
-        ids += [f"quilt.const.h{tag}.{a}{b}" for a in "pm" for b in "pm"]
-        ids += [f"quilt.maslov1.h{tag}.v{v}.{a}.f{s}"
-                for v in (0, 1) for a in "pm" for s in ("plus", "minus")]
-    else:
-        ids += ["quilt.const.h{h}.<ss>  (instantiate with --h)",
-                "quilt.maslov1.h{h}.v<0|1>.<p|m>.f<plus|minus>"]
-    return ids
+    ids += [make_eight_bubble_sheet_switch(s1, s2).label
+            for s1 in (+1, -1) for s2 in (+1, -1)]
+    ids += [make_acw_quilt(sign).label for sign in (+1, -1)]
+    if h is None:
+        return ids + ["quilt.const.h{h}.<ss>  (instantiate with --h)",
+                      "quilt.maslov1.h{h}.v<0|1>.<p|m>.f<plus|minus>"]
+    return ids + [q.label for q in sector_family(h)]
+
+
+# An empty height tag takes the height from resolve's argument.
+_H = r"h(?P<h>(?:\d+(?:\.\d*)?(?:e[-+]?\d+)?)?)"
+_IDS = (
+    (r"floer\.cp2\.u(?P<i>[012])\.(?P<s1>[pm])(?P<s2>[pm])",
+     make_floer_strip_cp2),
+    (r"floer\.cp1\.v(?P<i>[01])\.(?P<s1>[pm])(?P<s2>[pm])",
+     make_floer_strip_cp1),
+    (r"bubble\.sheet_switch\.(?P<s1>[pm])(?P<s2>[pm])",
+     make_eight_bubble_sheet_switch),
+    (r"quilt\.acw\.(?P<sign>plus|minus)", make_acw_quilt),
+    (rf"quilt\.const\.{_H}\.(?P<s1>[pm])(?P<s2>[pm])",
+     make_const_projection_quilt),
+    (rf"quilt\.maslov1\.{_H}\.v(?P<variant>[01])\.(?P<s1>[pm])"
+     r"\.f(?P<fsign>plus|minus)", make_maslov1_quilt),
+)
 
 
 def resolve(identifier: str, h: float | None = None):
-    """Look up a catalog object (AnalyticMap or Quilt) by its stable id."""
-    parts = identifier.split(".")
-    if identifier.startswith("floer.cp2."):
-        i = int(parts[2][1])
-        s1, s2 = SIGNS[parts[3][0]], SIGNS[parts[3][1]]
-        return make_floer_strip_cp2(i, s1, s2)
-    if identifier.startswith("floer.cp1."):
-        i = int(parts[2][1])
-        s1, s2 = SIGNS[parts[3][0]], SIGNS[parts[3][1]]
-        return make_floer_strip_cp1(i, s1, s2)
-    if identifier.startswith("bubble.sheet_switch."):
-        s1, s2 = SIGNS[parts[2][0]], SIGNS[parts[2][1]]
-        return make_eight_bubble_sheet_switch(s1, s2)
-    if identifier in ("quilt.acw.plus", "quilt.acw.minus"):
-        return make_acw_quilt(+1 if identifier.endswith("plus") else -1)
-    if identifier.startswith("quilt.const.h"):
-        # the height tag may itself contain a dot, so split from the right
-        body = identifier[len("quilt.const.h"):]
-        htag, _, signs = body.rpartition(".")
-        hval = float(htag) if htag else h
-        if hval is None:
-            raise KeyError(f"{identifier} needs an explicit height")
-        return make_const_projection_quilt(hval, SIGNS[signs[0]],
-                                           SIGNS[signs[1]])
-    if identifier.startswith("quilt.maslov1.h"):
-        body = identifier[len("quilt.maslov1.h"):]
-        pieces = body.rsplit(".", 3)
-        if len(pieces) != 4:
-            raise KeyError(identifier)
-        htag, vtag, stag, ftag = pieces
-        hval = float(htag) if htag else h
-        if hval is None:
-            raise KeyError(f"{identifier} needs an explicit height")
-        return make_maslov1_quilt(hval, int(vtag[1]), SIGNS[stag],
-                                  +1 if ftag == "fplus" else -1)
+    """Look up a catalog object (AnalyticMap or Quilt) by its stable id;
+    KeyError for anything outside the id grammar or the height range."""
+    for pattern, build in _IDS:
+        match = re.fullmatch(pattern, identifier)
+        if match is None:
+            continue
+        args = {}
+        for name, text in match.groupdict().items():
+            if name == "h":
+                args[name] = float(text) if text else h
+                if args[name] is None:
+                    raise KeyError(f"{identifier} needs an explicit height")
+            else:
+                args[name] = int(text) if text.isdigit() else SIGNS[text]
+        try:
+            return build(**args)
+        except ValueError as exc:
+            raise KeyError(f"{identifier}: {exc}") from None
     raise KeyError(identifier)

@@ -2,8 +2,8 @@
 sweeps, chain-complex checks, and moment-figure emission.
 
 Exit codes: 0 all checks passed, 1 a verification failed, 2 bad usage or
-configuration.  Numeric work is deterministic for a fixed configuration and
-seed; CSV and JSON artifacts are byte-stable.
+configuration.  Numeric work is deterministic for a fixed configuration;
+CSV and JSON artifacts are byte-stable.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ class RunConfig:
     out: str | None = None
     report: str | None = None
     tamper: str | None = None
-    seed: int = 0
     side: str = "both"
     grid: int = 200
 
@@ -59,10 +58,18 @@ class RunConfig:
             ns_val = getattr(ns, f.name, None)
             if ns_val is not None:
                 setattr(cfg, f.name, ns_val)
-        if isinstance(cfg.h_grid, str):
-            cfg.h_grid = tuple(float(v) for v in cfg.h_grid.split(","))
-        elif isinstance(cfg.h_grid, (list, tuple)):
-            cfg.h_grid = tuple(float(v) for v in cfg.h_grid)
+        grid = cfg.h_grid.split(",") if isinstance(cfg.h_grid, str) \
+            else cfg.h_grid
+        try:
+            cfg.h_grid = tuple(float(v) for v in grid)
+            if cfg.h is not None:
+                cfg.h = float(cfg.h)
+        except (TypeError, ValueError):
+            raise UsageError(f"heights must be numbers: h={cfg.h!r}, "
+                             f"h_grid={cfg.h_grid!r}")
+        for h in cfg.h_grid + ((cfg.h,) if cfg.h is not None else ()):
+            if not (0.0 < h < cat.HALF_PI):
+                raise UsageError(f"height {h} outside (0, pi/2)")
         return cfg
 
 
@@ -118,13 +125,17 @@ def cmd_catalog(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+def _resolve(cfg: RunConfig):
     if not cfg.quilt:
-        raise UsageError("verify needs --quilt <catalog id>")
+        raise UsageError(f"{cfg.command} needs --quilt <catalog id>")
     try:
-        obj = cat.resolve(cfg.quilt, h=cfg.h)
+        return cat.resolve(cfg.quilt, h=cfg.h)
     except KeyError as exc:
         raise UsageError(f"unknown catalog id: {exc}")
+
+
+def cmd_verify(cfg: RunConfig) -> int:
+    obj = _resolve(cfg)
     if isinstance(obj, cat.AnalyticMap):
         raise UsageError(f"{cfg.quilt} is a bare strip; use `area` for "
                          "strips or pick a quilt id")
@@ -136,9 +147,7 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def cmd_area(cfg: RunConfig) -> int:
-    if not cfg.quilt:
-        raise UsageError("area needs --quilt <catalog id>")
-    obj = cat.resolve(cfg.quilt, h=cfg.h)
+    obj = _resolve(cfg)
     entries = []
     if isinstance(obj, cat.AnalyticMap):
         value, err = patch_area(obj)
@@ -206,8 +215,7 @@ def cmd_floer(cfg: RunConfig) -> int:
 
 
 def cmd_moment_plot(cfg: RunConfig) -> int:
-    quilt = cat.resolve(cfg.quilt, h=cfg.h) if cfg.quilt else None
-    fig = emit_moment_figure(quilt, grid=cfg.grid)
+    fig = emit_moment_figure(grid=cfg.grid)
     violation = fig.max_triangle_violation()
     worst_residual = max(
         float(np.max(np.abs(fig.u2_right_edge[:, 2]))),
@@ -275,7 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol-area", dest="tol_area", type=float)
         p.add_argument("--out")
         p.add_argument("--report")
-        p.add_argument("--seed", type=int)
         if name == "verify":
             p.add_argument("--tamper", help="negative-control hook, "
                                             "e.g. seam+0.01")
@@ -296,8 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("moment-plot", help="emit moment-triangle figure "
                                            "data (CSV + SVG)")
-    p.add_argument("--quilt")
-    p.add_argument("--h", type=float)
     p.add_argument("--grid", type=int)
     p.add_argument("--out")
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import make_floer_strip_cp1, make_floer_strip_cp2
+from .catalog import all_floer_strips
 
 GENERATORS = ("p++", "p+-", "p-+", "p--")
 
@@ -44,19 +44,12 @@ class FloerComplex:
         return {g: int(m[i, j]) for i, g in enumerate(self.generators)}
 
 
-def _strips(side: FloerSide):
-    if side is FloerSide.CP2_RP2:
-        return [make_floer_strip_cp2(i, s1, s2)
-                for i in (0, 1, 2) for s1 in (+1, -1) for s2 in (+1, -1)]
-    return [make_floer_strip_cp1(i, s1, s2)
-            for i in (0, 1) for s1 in (+1, -1) for s2 in (+1, -1)]
-
-
 def build_complex(side: FloerSide | str) -> FloerComplex:
     side = FloerSide(side) if not isinstance(side, FloerSide) else side
     counts = np.zeros((4, 4), dtype=int)
     provenance: dict[tuple[str, str], list[str]] = {}
-    for strip in _strips(side):
+    dim = 2 if side is FloerSide.CP2_RP2 else 1
+    for strip in (s for s in all_floer_strips() if s.target_dim == dim):
         src, dst = strip.endpoints
         i, j = GENERATORS.index(dst), GENERATORS.index(src)
         counts[i, j] += 1

@@ -72,11 +72,10 @@ class FigureData:
         return worst
 
 
-def emit_moment_figure(quilt: cat.Quilt | None = None,
-                       grid: int = 200) -> FigureData:
-    """Project the quilt (default: the positive-sign explicit quilted
-    half-plane) and the two Lagrangian loci to the moment triangle."""
-    quilt = quilt or cat.make_acw_quilt(+1)
+def emit_moment_figure(grid: int = 200) -> FigureData:
+    """Project the positive-sign explicit quilted half-plane and the two
+    Lagrangian loci to the moment triangle."""
+    quilt = cat.make_acw_quilt(+1)
     u2, u1 = quilt.patches[0], quilt.patches[1]
     n = grid
 

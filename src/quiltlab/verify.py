@@ -19,15 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import catalog as cat
+from .analysis import QuadratureSettings
 from .geometry import (_fs_distance_rows, _unit_rows,
                        correspondence_residual_rows, homogeneous_density,
                        lagrangian_residual_rows)
-from .quadrature import (IntegrandProfile, integrate_interval,
-                         integrate_line, _panel)
+from .quadrature import IntegrandProfile, integrate_interval, integrate_line
 
 HALF_PI = math.pi / 2.0
-
-_SAFE_EXPONENT = 600.0
 
 
 @dataclass(frozen=True)
@@ -65,18 +63,10 @@ class ProfileResult:
     failures: int = 0
 
 
-def _safe_x_range(quilt_or_map, x_range):
-    """Clip the sample range so exponential lifts stay representable."""
-    lo, hi = x_range
-    maps = quilt_or_map.patches if isinstance(quilt_or_map, cat.Quilt) \
-        else [quilt_or_map]
-    for m in maps:
-        if m.gauge_mode == "exp" and m.region.y_hi is not None \
-                and m.fused_fn is not None:
-            h = m.region.y_hi
-            cap = _SAFE_EXPONENT * 2.0 * h / math.pi
-            lo, hi = max(lo, -cap), min(hi, cap)
-    return lo, hi
+def _safe_x_range(quilt: cat.Quilt, x_range):
+    """Clip the sample range to what every patch evaluator represents."""
+    cap = min(m.x_cap for m in quilt.patches)
+    return max(x_range[0], -cap), min(x_range[1], cap)
 
 
 def seam_residual_profile(quilt: cat.Quilt, seam_index: int = 0, *,
@@ -143,7 +133,7 @@ def patch_area(m: cat.AnalyticMap, *, abs_tol: float = 1e-8,
     the sweep, where each quadrature-backed density evaluation costs two
     line integrals.
     """
-    if m.is_constant:
+    if m.regime is cat.Regime.CONSTANT:
         return 0.0, 0.0
     inner_tol = 2e-5 if fast else max(abs_tol * 3e-3, 1e-12)
     if fast:
@@ -151,19 +141,15 @@ def patch_area(m: cat.AnalyticMap, *, abs_tol: float = 1e-8,
     tail_box = [0.0]
     inner_err_box = [0.0]
 
-    rational = (m.decay == "rational")
-
     def inner(y: float) -> float:
         rho = _density_line(m, y)
-        if rational:
+        if m.regime is cat.Regime.RATIONAL:
             res = integrate_line(rho, IntegrandProfile(splits=(0.0,)),
                                  abs_tol=inner_tol, rel_tol=1e-9)
             val = float(np.real(res.value))
             inner_err_box[0] = max(inner_err_box[0], res.error_estimate)
             return val
-        cut = x_cut
-        if m.gauge_mode == "exp" and m.region.y_hi is not None:
-            cut = min(cut, _SAFE_EXPONENT * 2.0 * m.region.y_hi / math.pi)
+        cut = min(x_cut, m.x_cap)
         res = integrate_interval(rho, -cut, cut, knots=(0.0,),
                                  abs_tol=inner_tol, rel_tol=1e-9,
                                  raise_on_budget=False)
@@ -183,19 +169,15 @@ def patch_area(m: cat.AnalyticMap, *, abs_tol: float = 1e-8,
         if fast:
             # single Kronrod panel in y; the density profile is analytic in
             # y, so one bisection is only spent when the estimate asks.
-            value, outer_err = _panel(outer, y_lo, y_hi)
-            if outer_err > 1e-4:
-                mid = 0.5 * (y_lo + y_hi)
-                v1, e1 = _panel(outer, y_lo, mid)
-                v2, e2 = _panel(outer, mid, y_hi)
-                value, outer_err = v1 + v2, e1 + e2
+            res = integrate_interval(outer, y_lo, y_hi, abs_tol=1e-4,
+                                     rel_tol=0.0, budget=45,
+                                     raise_on_budget=False)
         else:
             res = integrate_interval(outer, y_lo, y_hi,
                                      abs_tol=abs_tol * 0.3, rel_tol=1e-9,
                                      raise_on_budget=False)
-            value, outer_err = res.value, res.error_estimate
         y_span = y_hi - y_lo
-    elif region.kind is cat.RegionKind.HALF_PLANE_ABOVE:
+    else:
         y_lo = region.y_lo
         theta_end = math.atan(y_cut - y_lo)
 
@@ -210,15 +192,12 @@ def patch_area(m: cat.AnalyticMap, *, abs_tol: float = 1e-8,
         res = integrate_interval(outer, 0.0, theta_end,
                                  abs_tol=abs_tol * 0.3, rel_tol=1e-9,
                                  raise_on_budget=False)
-        value, outer_err = res.value, res.error_estimate
         # density integrals on far lines fall off like 1/y^3
         tail_box[0] += 0.5 * abs(inner(y_cut)) * y_cut
         y_span = HALF_PI
-    else:
-        raise ValueError("unsupported region for area integration")
 
-    value = float(np.real(value))
-    err = float(outer_err) + inner_err_box[0] * y_span + tail_box[0]
+    value = float(np.real(res.value))
+    err = float(res.error_estimate) + inner_err_box[0] * y_span + tail_box[0]
     return value, err
 
 
@@ -231,11 +210,10 @@ def cr_residual_profile(m: cat.AnalyticMap, *, samples: int = 48,
                         richardson: bool | None = None) -> float:
     """Max over interior samples of ||dbar u|| / ||u|| for the gauge-scaled
     lift, via centered differences (optionally Richardson-refined)."""
-    region = m.region
-    y_lo = region.y_lo if region.y_lo is not None else region.y_hi - 2.0
-    y_hi = region.y_hi if region.y_hi is not None else region.y_lo + 2.0
+    y_lo = m.region.y_lo
+    y_hi = m.region.y_hi if m.region.y_hi is not None else y_lo + 2.0
     height = y_hi - y_lo
-    quadrature_backed = m.fused_fn is not None
+    quadrature_backed = m.regime is cat.Regime.QUADRATURE
     if step is None:
         step = (1e-3 if quadrature_backed else 1e-5) * height
     if richardson is None:
@@ -248,7 +226,7 @@ def cr_residual_profile(m: cat.AnalyticMap, *, samples: int = 48,
     for x0 in xs:
         for y0 in ys:
             z0 = complex(x0, y0)
-            gauge = max(z0.real, 0.0) if m.gauge_mode == "exp" else 0.0
+            gauge = max(z0.real, 0.0)
 
             def dbar(d):
                 stencil = np.array([z0 + d, z0 - d, z0 + 1j * d, z0 - 1j * d])
@@ -332,7 +310,7 @@ def verify_quilt(quilt: cat.Quilt, tol: ToleranceProfile | None = None, *,
     holomorphy = []
     if not skip_cr:
         for patch in quilt.patches:
-            if patch.is_constant:
+            if patch.regime is cat.Regime.CONSTANT:
                 holomorphy.append({"patch": patch.label, "max": 0.0})
                 continue
             holomorphy.append({
@@ -392,44 +370,41 @@ def _limit_grid(h: float, radius: float = 2.0) -> np.ndarray:
     return zs[np.abs(zs) <= radius]
 
 
+# patch_area keyword arguments per patch role, for the areas a family
+# shares at one height
+_SHARED_AREA_ARGS = {"const": ({}, {}),
+                     "maslov1": ({"fast": True}, {"abs_tol": 1e-6})}
+
+
 def sweep_family(families, h_grid, tol: ToleranceProfile | None = None,
                  *, limit_checks: bool = True) -> SweepResult:
     """Verify every fibered component over the supplied heights and collect
     the interval-end diagnostics.
 
-    The eight index-one components at a fixed height share one density for
+    The components of one family at a fixed height share one density for
     each patch role (sign and variant changes cancel in every modulus), so
     their areas are computed once per height and attached to each report.
     """
     if isinstance(families, str):
         families = [families] if families != "all" else ["const", "maslov1"]
+    for h in h_grid:
+        if not (0.0 < h < HALF_PI):
+            raise ValueError(f"sweep height {h} outside (0, pi/2)")
     reports: dict[float, list[VerificationReport]] = {}
     diagnostics: dict[str, dict] = {"const": {}, "maslov1": {}}
 
     for h in h_grid:
-        if not (0.0 < h < HALF_PI):
-            raise ValueError(f"sweep height {h} outside (0, pi/2)")
-        per_h: list[VerificationReport] = []
-        if "const" in families:
-            quilts = [cat.make_const_projection_quilt(h, s1, s2)
-                      for s1 in (+1, -1) for s2 in (+1, -1)]
-            shared = {0: patch_area(quilts[0].patches[0]),
-                      1: (0.0, 0.0)}
-            for q in quilts:
-                per_h.append(verify_quilt(q, tol or STRICT_PROFILE,
-                                          area_overrides=shared))
-        if "maslov1" in families:
-            from .analysis import QuadratureSettings
-            sweep_settings = QuadratureSettings(abs_tol=1e-8)
-            quilts = [cat.make_maslov1_quilt(h, v, s1, fs, sweep_settings)
-                      for v in (0, 1) for s1 in (+1, -1) for fs in (+1, -1)]
-            prof = tol or MASLOV1_PROFILE
-            shared = {0: patch_area(quilts[0].patches[0], fast=True),
-                      1: patch_area(quilts[0].patches[1], abs_tol=1e-6)}
-            for q in quilts:
-                per_h.append(verify_quilt(q, prof, area_overrides=shared,
-                                          skip_cr=False))
-        reports[h] = per_h
+        reports[h] = []
+        shared = {}
+        for q in cat.sector_family(h, QuadratureSettings(abs_tol=1e-8)):
+            if q.family not in families:
+                continue
+            if q.family not in shared:
+                shared[q.family] = {
+                    i: patch_area(patch, **kwargs) for i, (patch, kwargs)
+                    in enumerate(zip(q.patches, _SHARED_AREA_ARGS[q.family]))}
+            reports[h].append(verify_quilt(q, tol or default_profile(q),
+                                           area_overrides=shared[q.family]))
 
     if limit_checks:
         diagnostics["const"] = _const_limit_diagnostics()

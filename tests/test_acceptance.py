@@ -7,6 +7,7 @@ import time
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 import quiltlab as ql
 from quiltlab.floer import build_complex, differential_square
@@ -117,6 +118,7 @@ def test_criterion_07_rigid_strip_areas():
                    "(< 1e-5)")
 
 
+@pytest.mark.slow
 def test_criterion_08_moduli_sweep():
     t0 = time.perf_counter()
     result = sweep_family("all", [0.15, 0.5, 1.0, 1.4])

@@ -273,18 +273,25 @@ def test_derivative_evaluators_match_finite_differences():
 
 
 def test_registry_round_trip():
-    ids = catalog_ids(h=0.7)
-    for ident in ids:
-        if "<" in ident or "{" in ident:
-            continue
-        obj = resolve(ident)
-        label = obj.label if isinstance(obj, (AnalyticMap, Quilt)) else None
-        assert label == ident
+    for h in (0.5, math.pi / 4, 0.7, 1.0):
+        for ident in catalog_ids(h):
+            obj = resolve(ident)
+            assert isinstance(obj, (AnalyticMap, Quilt))
+            assert obj.label == ident
+            assert getattr(obj, "h", None) in (None, h)
 
 
 def test_registry_rejects_unknown():
-    with pytest.raises(KeyError):
-        resolve("quilt.unknown.thing")
+    for ident in ("quilt.unknown.thing", "floer.cp2.", "floer.cp2.u0.ppX",
+                  "floer.cp1.v2.pp", "quilt.maslov1.h0.7.v0.p.fxyz",
+                  "quilt.const.h2.0.pp", "quilt.const.h-0.5.pp",
+                  "quilt.const.h.pp"):
+        with pytest.raises(KeyError):
+            resolve(ident)
+
+
+def test_registry_takes_an_empty_height_tag_from_the_argument():
+    assert resolve("quilt.const.h.pm", h=0.7).label == "quilt.const.h0.7.pm"
 
 
 def test_quilt_validation_rejects_uncovered_edges():

@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from quiltlab import cli
 from quiltlab.cli import main
 
 
@@ -38,6 +41,27 @@ def test_verify_unknown_id_is_usage_error(capsys):
     assert main(["verify"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["area", "--quilt", "nope"],
+    ["verify", "--quilt", "floer.cp2."],
+    ["verify", "--quilt", "quilt.const.h2.0.pp"],
+    ["area", "--quilt", "floer.cp2.u0.ppX"],
+    ["verify", "--quilt", "quilt.maslov1.h0.7.v0.p.fxyz"],
+    ["catalog", "--h", "0"],
+    ["sweep", "--family", "const", "--h-grid", "0.5,2.0"],
+    ["sweep", "--h-grid", "0.5,x"],
+])
+def test_bad_input_exits_2_with_one_line(argv, capsys, monkeypatch):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("sweep started before the grid was checked")
+    monkeypatch.setattr(cli, "sweep_family", no_sweep)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_bad_tamper_spec_is_usage_error(capsys):
     assert main(["verify", "--quilt", "quilt.acw.plus",
                  "--tamper", "wat"]) == 2
@@ -62,6 +86,8 @@ def test_config_file_rejects_unknown_keys(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"nope": 1}))
     assert main(["--config", str(cfg), "catalog"]) == 2
+    cfg.write_text(json.dumps({"h": "abc"}))
+    assert main(["--config", str(cfg), "catalog"]) == 2
 
 
 def test_floer_command(capsys):
@@ -84,6 +110,10 @@ def test_moment_plot_writes_artifacts(tmp_path, capsys):
     assert code == 0
     assert (tmp_path / "figure.svg").exists()
     assert (tmp_path / "figure_lambda.csv").exists()
+
+
+def test_moment_plot_takes_no_quilt():
+    assert main(["moment-plot", "--quilt", "quilt.acw.plus"]) == 2
 
 
 def test_moment_plot_csv_byte_identical(tmp_path):

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quiltlab.quadrature import (BudgetExceededError, IntegrandProfile,
-                                 integrate_interval, integrate_line)
+                                 integrate_interval, integrate_line,
+                                 integrate_rows)
 
 SQRT_PI = 1.7724538509055160273
 TWO_PI_LOG2 = 4.355172180607204261  # high-precision offline value
@@ -67,6 +68,27 @@ def test_interval_quadrature_polynomial_exactness():
     # antiderivative x^7/7 - x^2 + x
     truth = (2.0 ** 7 / 7 - 4 + 2) - (-1.0 / 7 - 1 - 1)
     assert abs(res.value - truth) <= 1e-12
+
+
+@pytest.mark.parametrize("f, truth", [
+    # narrow Lorentzian peak at t = 0.3, half-width 1e-3
+    (lambda t: 1e-3 / ((t - 0.3) ** 2 + 1e-6),
+     math.atan(1.2e3) + math.atan(1.3e3)),
+    # |t|^p cusp at t = 0
+    (lambda t: np.abs(t) ** 0.4, (1.0 + 1.5 ** 1.4) / 1.4),
+], ids=["lorentzian", "cusp"])
+def test_vector_loop_matches_scalar_loop(f, truth):
+    # the two adaptive loops implement one rule: a one-row vector integral
+    # agrees with the scalar one within the two error estimates
+    scalar = integrate_interval(f, -1.0, 1.5, abs_tol=1e-10, rel_tol=1e-12)
+    value, error, _, ok = integrate_rows(lambda t: f(t)[None, :],
+                                         [-1.0, 1.5], [1e-10], 1e-12,
+                                         200_000)
+    assert ok
+    assert abs(value[0] - scalar.value) <= \
+        error[0] + scalar.error_estimate
+    assert abs(value[0] - truth) <= max(error[0], 1e-12)
+    assert abs(scalar.value - truth) <= max(scalar.error_estimate, 1e-12)
 
 
 def test_interval_complex_integrand():
