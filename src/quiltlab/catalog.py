@@ -16,13 +16,16 @@ maps, rationally decaying maps (whole-line area integrals), exponentially
 decaying maps (truncated area integrals with a tail bound), and
 exponentially decaying maps whose last coordinate comes from quadrature
 (coarse holomorphy stencils, |Re z| capped by ``x_cap``).  On the top edge
-of a quadrature-backed patch that coordinate is the extrapolated modulus,
-which is all the phase-blind seam residual consumes.
+of a quadrature-backed patch that coordinate is the sign times the
+extrapolated modulus, which is all the phase-blind seam residual consumes.
 
 The maps are built by one builder per kind: a Moebius coordinate in one
 slot, a constant, an affine map, and the index-one pair with an optional
-quadrature-backed last coordinate.  Catalog ids follow one grammar, the
-``_IDS`` table, which ``resolve`` parses.
+quadrature-backed last coordinate.  That coordinate is the sign times one
+``StripTraces``, the unsigned strip solution at the patch height with its
+values memoized; ``sector_family`` shares one of them among the eight
+index-one quilts at a height, so each trace is computed once.  Catalog ids
+follow one grammar, the ``_IDS`` table, which ``resolve`` parses.
 """
 
 from __future__ import annotations
@@ -190,47 +193,61 @@ def _affine(label, region, a, b) -> AnalyticMap:
                        evaluate=evaluate, regime=Regime.RATIONAL)
 
 
-def _top_edge_or_value(sol: PoissonSolution, z, gauge):
-    """sol.sign * f(z) * exp(-gauge), except on the top edge, where direct
-    quadrature cannot reach and only the extrapolated modulus
-    |f| * exp(-gauge) is returned."""
-    if abs(z.imag - sol.h) <= 1e-12 * max(1.0, sol.h):
-        return math.sqrt(boundary_modulus(sol, z.real)) * math.exp(-gauge)
-    return sol.sign * np.exp(log_f(sol, z) - gauge)
+class StripTraces:
+    """The positive-sign strip solution at height h with its values memoized
+    per evaluation batch; the memo lives as long as the quilts that share
+    it, whose identical checks ask for identical batches."""
+
+    def __init__(self, h: float, settings: QuadratureSettings | None = None):
+        self.sol = PoissonSolution(h, +1, settings or QuadratureSettings())
+        self._memo: dict = {}
+
+    def __call__(self, z: np.ndarray, gauge: np.ndarray, deriv: bool):
+        """Rows f(z) exp(-gauge), or with deriv (f, f') exp(-gauge), one per
+        point.  On the top edge, where direct quadrature cannot reach, f is
+        replaced by the extrapolated modulus |f|."""
+        key = (z.tobytes(), gauge.tobytes(), deriv)
+        if key not in self._memo:
+            self._memo[key] = np.array(
+                [self._point(zz, gg, deriv) for zz, gg in zip(z, gauge)],
+                dtype=complex).reshape(z.size, 1 + deriv)
+        return self._memo[key]
+
+    def _point(self, z: complex, gauge: float, deriv: bool):
+        sol = self.sol
+        if deriv:
+            return f_and_derivative(sol, z, gauge)
+        if abs(z.imag - sol.h) <= 1e-12 * max(1.0, sol.h):
+            return math.sqrt(boundary_modulus(sol, z.real)) * math.exp(-gauge)
+        return np.exp(log_f(sol, z) - gauge)
 
 
-def _index_one(label, region, variant, s1, sol=None,
+def _index_one(label, region, variant, s1, traces=None, fsign=+1,
                **fields) -> AnalyticMap:
     """(e^z + 1, s1 (e^z - 1)) for variant 0 or (e^z - 1, s1 (e^z + 1)) for
-    variant 1, with the strip solution sol as a quadrature-backed last
-    coordinate when given."""
+    variant 1, with fsign times the strip solution of ``traces`` as a
+    quadrature-backed last coordinate when given."""
     def evaluate(z, gauge, deriv):
         plus, minus = _exp_pair(z, gauge)
         cols = [plus, s1 * minus] if variant == 0 else [minus, s1 * plus]
         if deriv:
             a = np.exp(z - gauge)
             dcols = [a, s1 * a]
-        if sol is not None:
-            third = np.empty(z.shape, dtype=complex)
+        if traces is not None:
+            third = fsign * traces(z, gauge, deriv)
+            cols.append(third[:, 0])
             if deriv:
-                dthird = np.empty(z.shape, dtype=complex)
-                for k, (zz, gg) in enumerate(zip(z, gauge)):
-                    third[k], dthird[k] = f_and_derivative(sol, zz, gg)
-                dcols.append(dthird)
-            else:
-                for k, (zz, gg) in enumerate(zip(z, gauge)):
-                    third[k] = _top_edge_or_value(sol, zz, gg)
-            cols.append(third)
+                dcols.append(third[:, 1])
         rows = np.stack(cols, axis=1)
         return (rows, np.stack(dcols, axis=1)) if deriv else rows
 
-    if sol is None:
+    if traces is None:
         return AnalyticMap(label=label, region=region, target_dim=1,
                            evaluate=evaluate, regime=Regime.EXPONENTIAL,
                            **fields)
     return AnalyticMap(label=label, region=region, target_dim=2,
                        evaluate=evaluate, regime=Regime.QUADRATURE,
-                       x_cap=sol.x_cap, **fields)
+                       x_cap=traces.sol.x_cap, **fields)
 
 
 # ---------------------------------------------------------------------------
@@ -365,17 +382,21 @@ def make_const_projection_quilt(h: float, s1: int, s2: int) -> Quilt:
                    "const", u2, u1, LagrangianId.RP2, h)
 
 
-def make_maslov1_quilt(h: float, variant: int, s1: int, fsign: int,
-                       settings: QuadratureSettings | None = None) -> Quilt:
+def make_maslov1_quilt(h: float, variant: int, s1: int, fsign: int) -> Quilt:
     """Quilted strip whose CP^1 part is an index-one Moebius strip and whose
     CP^2 patch closes up with the quadrature-backed boundary solution."""
     _check_height(h)
-    if variant not in (0, 1):
-        raise ValueError("variant must be 0 or 1")
-    sol = PoissonSolution(h, fsign, settings or QuadratureSettings())
+    return _maslov1(StripTraces(h), variant, s1, fsign)
+
+
+def _maslov1(traces: StripTraces, variant: int, s1: int,
+             fsign: int) -> Quilt:
+    if variant not in (0, 1) or fsign not in (+1, -1):
+        raise ValueError("variant must be 0 or 1 and fsign +1 or -1")
+    h = traces.sol.h
     u2 = _index_one(
         f"maslov1.u2.v{variant}.{_SIG[s1]}.f{_SIG[fsign]}", strip(0.0, h),
-        variant, s1, sol, limit_labels={"h_to_pi2": (
+        variant, s1, traces, fsign, limit_labels={"h_to_pi2": (
             f"floer.cp2.u{1 - variant}.{_SIG[s1]}{_SIG[fsign]}")})
     # The CP^1 patch formulas carry no sheet data; the h -> 0 comparison
     # strips are taken on the + sheet (the chordal distance cannot see it).
@@ -457,10 +478,12 @@ def all_floer_strips() -> list[AnalyticMap]:
 def sector_family(h: float,
                   settings: QuadratureSettings | None = None) -> list[Quilt]:
     """The twelve quilted strips over an interior height h: four with
-    constant projection and eight with index-one projection."""
+    constant projection and eight with index-one projection, which share
+    one ``StripTraces``."""
     quilts = [make_const_projection_quilt(h, s1, s2)
               for s1 in (+1, -1) for s2 in (+1, -1)]
-    quilts += [make_maslov1_quilt(h, variant, s1, fsign, settings)
+    traces = StripTraces(h, settings)
+    quilts += [_maslov1(traces, variant, s1, fsign)
                for variant in (0, 1) for s1 in (+1, -1)
                for fsign in (+1, -1)]
     return quilts

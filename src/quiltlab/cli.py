@@ -19,8 +19,13 @@ import numpy as np
 from . import catalog as cat
 from . import floer
 from .moment_figure import (emit_moment_figure, figure_svg, write_figure_csvs)
-from .verify import (ToleranceProfile, default_profile, patch_area,
-                     sweep_family, verify_quilt)
+from .verify import (SWEEP_FAMILIES, ToleranceProfile, default_profile,
+                     patch_area, sweep_family, verify_quilt)
+
+# config-file value types besides strings; h and h_grid are parsed as
+# heights in from_namespace
+_FILE_TYPES = {"samples": (int,), "grid": (int,), "tol_seam": (int, float),
+               "tol_boundary": (int, float), "tol_area": (int, float)}
 
 
 @dataclass
@@ -52,6 +57,14 @@ class RunConfig:
             unknown = set(file_values) - {f.name for f in fields(cls)}
             if unknown:
                 raise UsageError(f"unknown config keys: {sorted(unknown)}")
+            for name, value in file_values.items():
+                kinds = _FILE_TYPES.get(name, (str,))
+                if name in ("h", "h_grid") or \
+                        (value is None and getattr(cfg, name) is None):
+                    continue
+                if isinstance(value, bool) or not isinstance(value, kinds):
+                    raise UsageError(f"config key {name} must be of type "
+                                     f"{kinds[-1].__name__}, got {value!r}")
         for f in fields(cls):
             if f.name in file_values:
                 setattr(cfg, f.name, file_values[f.name])
@@ -70,6 +83,8 @@ class RunConfig:
         for h in cfg.h_grid + ((cfg.h,) if cfg.h is not None else ()):
             if not (0.0 < h < cat.HALF_PI):
                 raise UsageError(f"height {h} outside (0, pi/2)")
+        if cfg.family not in SWEEP_FAMILIES:
+            raise UsageError(f"unknown sweep family {cfg.family!r}")
         return cfg
 
 
@@ -153,7 +168,7 @@ def cmd_area(cfg: RunConfig) -> int:
         value, err = patch_area(obj)
         entries.append({"patch": obj.label, "value": value, "err": err})
     else:
-        fast = obj.family.startswith("maslov1")
+        fast = default_profile(obj).fast_area
         for patch in obj.patches:
             value, err = patch_area(patch, fast=fast)
             entries.append({"patch": patch.label, "value": value,
@@ -289,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="verify the fibered families over a "
                                      "height grid")
-    p.add_argument("--family", choices=("const", "maslov1", "all"))
+    p.add_argument("--family", choices=tuple(SWEEP_FAMILIES))
     p.add_argument("--h-grid", dest="h_grid",
                    help="comma-separated heights in (0, pi/2)")
     p.add_argument("--out")

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -129,9 +129,9 @@ def patch_area(m: cat.AnalyticMap, *, abs_tol: float = 1e-8,
     """Integral of the pullback density over the patch region, with an error
     estimate that includes quadrature and truncation-tail contributions.
 
-    fast=True relaxes the inner tolerance and caps outer refinement; used by
-    the sweep, where each quadrature-backed density evaluation costs two
-    line integrals.
+    fast=True relaxes the inner tolerance and caps outer refinement; the
+    index-one profile uses it, since each quadrature-backed density
+    evaluation costs a Herglotz integral.
     """
     if m.regime is cat.Regime.CONSTANT:
         return 0.0, 0.0
@@ -204,23 +204,19 @@ def patch_area(m: cat.AnalyticMap, *, abs_tol: float = 1e-8,
 # ---------------------------------------------------------------------------
 # holomorphy sampling
 
-def cr_residual_profile(m: cat.AnalyticMap, *, samples: int = 48,
-                        x_span: tuple[float, float] = (-3.0, 3.0),
-                        step: float | None = None,
-                        richardson: bool | None = None) -> float:
-    """Max over interior samples of ||dbar u|| / ||u|| for the gauge-scaled
-    lift, via centered differences (optionally Richardson-refined)."""
+def cr_residual_profile(m: cat.AnalyticMap, *, samples: int = 48) -> float:
+    """Max over an interior sample grid, Re z from -2.7 to 3.3, of
+    ||dbar u|| / ||u|| for the gauge-scaled lift, via centered differences:
+    coarse ones for quadrature-backed maps, Richardson-refined fine ones
+    otherwise."""
     y_lo = m.region.y_lo
     y_hi = m.region.y_hi if m.region.y_hi is not None else y_lo + 2.0
     height = y_hi - y_lo
-    quadrature_backed = m.regime is cat.Regime.QUADRATURE
-    if step is None:
-        step = (1e-3 if quadrature_backed else 1e-5) * height
-    if richardson is None:
-        richardson = not quadrature_backed
+    richardson = m.regime is not cat.Regime.QUADRATURE
+    step = (1e-5 if richardson else 1e-3) * height
     margin = max(4 * step, 2e-3 * height)
     n_side = max(2, int(math.sqrt(samples)))
-    xs = np.linspace(x_span[0], x_span[1], n_side + 1)[:-1] + 0.318
+    xs = np.linspace(-3.0, 3.0, n_side + 1)[:-1] + 0.318
     ys = np.linspace(y_lo + margin, y_hi - margin, n_side)
     worst = 0.0
     for x0 in xs:
@@ -259,26 +255,16 @@ class VerificationReport:
     expected_area: float | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "seams": self.seams,
-            "boundaries": self.boundaries,
-            "areas": self.areas,
-            "total_area": self.total_area,
-            "holomorphy": self.holomorphy,
-            "pass": self.passed,
-            "samples": self.samples,
-            "expected_area": self.expected_area,
-        }
+        return {("pass" if k == "passed" else k): v
+                for k, v in asdict(self).items()}
 
     def to_json(self, indent: int | None = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
 
 def verify_quilt(quilt: cat.Quilt, tol: ToleranceProfile | None = None, *,
-                 tamper: tuple[str, float] | None = None,
-                 area_overrides: dict[int, tuple[float, float]] | None = None,
-                 skip_cr: bool = False) -> VerificationReport:
+                 tamper: tuple[str, float] | None = None
+                 ) -> VerificationReport:
     """Aggregate seam, boundary, area, and holomorphy checks into a report."""
     tol = tol or default_profile(quilt)
     seam_offset = tamper[1] if tamper and tamper[0] == "seam" else 0.0
@@ -299,23 +285,14 @@ def verify_quilt(quilt: cat.Quilt, tol: ToleranceProfile | None = None, *,
         boundaries.append({"index": i, "max": r.max_residual, "at": r.at,
                            "failures": r.failures})
     areas = []
-    total = 0.0
-    for i, patch in enumerate(quilt.patches):
-        if area_overrides and i in area_overrides:
-            value, err = area_overrides[i]
-        else:
-            value, err = patch_area(patch, fast=tol.fast_area)
+    for patch in quilt.patches:
+        value, err = patch_area(patch, fast=tol.fast_area)
         areas.append({"patch": patch.label, "value": value, "err": err})
-        total += value
-    holomorphy = []
-    if not skip_cr:
-        for patch in quilt.patches:
-            if patch.regime is cat.Regime.CONSTANT:
-                holomorphy.append({"patch": patch.label, "max": 0.0})
-                continue
-            holomorphy.append({
-                "patch": patch.label,
-                "max": cr_residual_profile(patch, samples=tol.cr_samples)})
+    total = sum(a["value"] for a in areas)
+    holomorphy = [
+        {"patch": p.label, "max": 0.0 if p.regime is cat.Regime.CONSTANT
+         else cr_residual_profile(p, samples=tol.cr_samples)}
+        for p in quilt.patches]
 
     passed = all(s["max"] <= tol.seam_tol and s["failures"] == 0
                  for s in seams)
@@ -370,46 +347,46 @@ def _limit_grid(h: float, radius: float = 2.0) -> np.ndarray:
     return zs[np.abs(zs) <= radius]
 
 
-# patch_area keyword arguments per patch role, for the areas a family
-# shares at one height
-_SHARED_AREA_ARGS = {"const": ({}, {}),
-                     "maslov1": ({"fast": True}, {"abs_tol": 1e-6})}
+SWEEP_FAMILIES = {"const": ("const",), "maslov1": ("maslov1",),
+                  "all": ("const", "maslov1")}
 
 
-def sweep_family(families, h_grid, tol: ToleranceProfile | None = None,
-                 *, limit_checks: bool = True) -> SweepResult:
-    """Verify every fibered component over the supplied heights and collect
-    the interval-end diagnostics.
-
-    The components of one family at a fixed height share one density for
-    each patch role (sign and variant changes cancel in every modulus), so
-    their areas are computed once per height and attached to each report.
-    """
-    if isinstance(families, str):
-        families = [families] if families != "all" else ["const", "maslov1"]
+def sweep_family(family: str, h_grid, *,
+                 limit_checks: bool = True) -> SweepResult:
+    """Verify every component of ``family`` (a key of ``SWEEP_FAMILIES``)
+    over the supplied heights, as ``verify_quilt`` does one quilt, and
+    collect the interval-end diagnostics.  The index-one quilts at a height
+    share one strip solution (``sector_family``), so each trace is computed
+    once per height."""
+    if family not in SWEEP_FAMILIES:
+        raise ValueError(f"unknown sweep family {family!r}; expected one "
+                         f"of {', '.join(SWEEP_FAMILIES)}")
     for h in h_grid:
         if not (0.0 < h < HALF_PI):
             raise ValueError(f"sweep height {h} outside (0, pi/2)")
-    reports: dict[float, list[VerificationReport]] = {}
+    settings = QuadratureSettings(abs_tol=1e-8)
+    reports = {h: [verify_quilt(q, default_profile(q))
+                   for q in cat.sector_family(h, settings)
+                   if q.family in SWEEP_FAMILIES[family]]
+               for h in h_grid}
     diagnostics: dict[str, dict] = {"const": {}, "maslov1": {}}
-
-    for h in h_grid:
-        reports[h] = []
-        shared = {}
-        for q in cat.sector_family(h, QuadratureSettings(abs_tol=1e-8)):
-            if q.family not in families:
-                continue
-            if q.family not in shared:
-                shared[q.family] = {
-                    i: patch_area(patch, **kwargs) for i, (patch, kwargs)
-                    in enumerate(zip(q.patches, _SHARED_AREA_ARGS[q.family]))}
-            reports[h].append(verify_quilt(q, tol or default_profile(q),
-                                           area_overrides=shared[q.family]))
-
     if limit_checks:
         diagnostics["const"] = _const_limit_diagnostics()
         diagnostics["maslov1"] = _maslov1_limit_diagnostics()
     return SweepResult(reports=reports, diagnostics=diagnostics)
+
+
+def _limit_sup(family: str, h: float, patch: int, limit: str,
+               zs: np.ndarray) -> float:
+    """Largest distance on zs from the given patch of each component of a
+    family at height h to the limit map it names."""
+    sup = 0.0
+    for q in cat.sector_family(h):
+        if q.family == family:
+            m = q.patches[patch]
+            target = cat.resolve(m.limit_labels[limit])
+            sup = max(sup, _sup_fs_distance(m, target, zs))
+    return sup
 
 
 def _const_limit_diagnostics() -> dict:
@@ -427,37 +404,16 @@ def _const_limit_diagnostics() -> dict:
             worst = max(worst, float(np.max(
                 _fs_distance_rows(rows_a, rows_b))))
     h2 = HALF_PI - 1e-3
-    zs = _limit_grid(h2)
-    sup = 0.0
-    for s1 in (+1, -1):
-        for s2 in (+1, -1):
-            u2 = cat.make_const_projection_quilt(h2, s1, s2).patches[0]
-            target = cat.resolve(u2.limit_labels["h_to_pi2"])
-            sup = max(sup, _sup_fs_distance(u2, target, zs))
-    return {"h_to_0_rescale_max": worst, "h_to_pi2_sup_distance": sup}
+    return {"h_to_0_rescale_max": worst, "h_to_pi2_sup_distance":
+            _limit_sup("const", h2, 0, "h_to_pi2", _limit_grid(h2))}
 
 
 def _maslov1_limit_diagnostics() -> dict:
     # The CP^1 patch formulas are height-independent, so the h -> 0 limit is
-    # an identity on the overlap with the corresponding rigid strips.
-    h = 0.3
-    zs = _limit_grid(HALF_PI - h) + 1j * h
-    ident = 0.0
-    for variant in (0, 1):
-        for s1 in (+1, -1):
-            q = cat.make_maslov1_quilt(h, variant, s1, +1)
-            u1 = q.patches[1]
-            target = cat.resolve(u1.limit_labels["h_to_0"])
-            ident = max(ident, _sup_fs_distance(u1, target, zs))
-
-    h2 = HALF_PI - 1e-3
-    zs2 = _limit_grid(h2)
-    sup = 0.0
-    for variant in (0, 1):
-        for s1 in (+1, -1):
-            for fsign in (+1, -1):
-                q = cat.make_maslov1_quilt(h2, variant, s1, fsign)
-                u2 = q.patches[0]
-                target = cat.resolve(u2.limit_labels["h_to_pi2"])
-                sup = max(sup, _sup_fs_distance(u2, target, zs2))
-    return {"h_to_0_identity_max": ident, "h_to_pi2_sup_distance": sup}
+    # an identity on the overlap with the corresponding rigid strips.  The
+    # eight CP^2 patches at h -> pi/2 share one strip solution.
+    h, h2 = 0.3, HALF_PI - 1e-3
+    return {"h_to_0_identity_max": _limit_sup(
+                "maslov1", h, 1, "h_to_0", _limit_grid(HALF_PI - h) + 1j * h),
+            "h_to_pi2_sup_distance": _limit_sup(
+                "maslov1", h2, 0, "h_to_pi2", _limit_grid(h2))}

@@ -82,12 +82,34 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert "quilt.acw.plus" in out
 
 
-def test_config_file_rejects_unknown_keys(tmp_path):
+def test_config_file_rejects_unknown_keys(tmp_path, capsys, monkeypatch):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("sweep started before the family was checked")
+    monkeypatch.setattr(cli, "sweep_family", no_sweep)
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"nope": 1}))
-    assert main(["--config", str(cfg), "catalog"]) == 2
-    cfg.write_text(json.dumps({"h": "abc"}))
-    assert main(["--config", str(cfg), "catalog"]) == 2
+    for values, command in (
+            ({"nope": 1}, "catalog"),
+            ({"h": "abc"}, "catalog"),
+            ({"family": "bogus", "h_grid": [0.5]}, "sweep"),
+            ({"samples": "abc", "quilt": "quilt.acw.plus"}, "verify"),
+            ({"tol_seam": "big", "quilt": "quilt.acw.plus"}, "verify"),
+            ({"samples": True, "quilt": "quilt.acw.plus"}, "verify"),
+            ({"quilt": 7}, "verify"),
+            ({"grid": "x"}, "moment-plot")):
+        cfg.write_text(json.dumps(values))
+        assert main(["--config", str(cfg), command]) == 2, values
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
+
+def test_config_file_accepts_typed_values(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"quilt": "quilt.acw.plus", "samples": 64,
+                               "tol_seam": 1e-12, "tol_area": 1,
+                               "report": None}))
+    assert main(["--config", str(cfg), "verify"]) == 0
 
 
 def test_floer_command(capsys):

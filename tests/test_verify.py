@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from quiltlab import catalog
 from quiltlab.catalog import (BoundaryEdge, Quilt, all_floer_strips,
                               make_const_projection_quilt,
-                              make_eight_bubble_sheet_switch)
+                              make_eight_bubble_sheet_switch, sector_family)
 from quiltlab.geometry import LagrangianId
 from quiltlab.verify import (MASLOV1_PROFILE, STRICT_PROFILE,
                              boundary_residual_profile, default_profile,
@@ -161,10 +162,30 @@ def test_maslov1_report_passes(maslov1_pi4):
 # sweep
 
 @pytest.mark.slow
-def test_sweep_single_height_all_components_pass():
+def test_sweep_single_height_all_components_pass(monkeypatch):
+    calls = []
+
+    def counted(sol, x, details=False):
+        calls.append(x)
+        return boundary_modulus(sol, x, details)
+
+    boundary_modulus = catalog.boundary_modulus
+    monkeypatch.setattr(catalog, "boundary_modulus", counted)
     result = sweep_family("all", [0.8], limit_checks=True)
     assert len(result.reports[0.8]) == 12
     assert result.passed
+    # the eight index-one quilts share one top-edge trace: one
+    # extrapolation per seam sample
+    assert len(calls) == MASLOV1_PROFILE.seam_samples == 160
+    # and each report takes its CP^1 area the way verify_quilt does
+    family = {q.label: q for q in sector_family(0.8)}
+    maslov1 = [r for r in result.reports[0.8]
+               if family[r.label].family == "maslov1"]
+    assert len(maslov1) == 8
+    for rep in maslov1:
+        value, err = patch_area(family[rep.label].patches[1], fast=True)
+        assert rep.areas[1] == {"patch": family[rep.label].patches[1].label,
+                                "value": value, "err": err}
     diag = result.diagnostics
     assert diag["const"]["h_to_0_rescale_max"] <= 1e-12
     assert diag["const"]["h_to_pi2_sup_distance"] <= 1e-2
@@ -172,9 +193,14 @@ def test_sweep_single_height_all_components_pass():
     assert diag["maslov1"]["h_to_pi2_sup_distance"] <= 1e-2
 
 
-def test_sweep_rejects_bad_heights():
+def test_sweep_rejects_bad_heights(monkeypatch):
+    def no_family(*args, **kwargs):
+        raise AssertionError("a height was computed before the check")
+    monkeypatch.setattr(catalog, "sector_family", no_family)
     with pytest.raises(ValueError):
-        sweep_family("const", [1.6])
+        sweep_family("const", [0.5, 1.6])
+    with pytest.raises(ValueError, match="maslov"):
+        sweep_family("maslov", [0.5])
 
 
 def test_sweep_serialization_round_trip():
