@@ -8,8 +8,8 @@ from .geometry import (InvalidPointError, DimensionMismatchError,
                        fs_distance, homogeneous_density, lagrangian_residual,
                        moment_cp1_lift, moment_cp2, normalize,
                        pullback_density)
-from .quadrature import (BudgetExceededError, IntegrandProfile,
-                         QuadratureResult, integrate_interval, integrate_line)
+from .quadrature import (BudgetExceededError, QuadratureResult,
+                         integrate_interval, integrate_line)
 from .analysis import (BlaschkeData, BoundaryEvaluationError, DomainError,
                        InvalidBlaschkeDataError, PoissonSolution,
                        QuadratureSettings, UndefinedPointError,

@@ -33,6 +33,9 @@ from .quadrature import (BudgetExceededError, QuadratureResult,
                          integrate_rows)
 
 _MAX_EXP = 640.0
+# relative tolerance and evaluation budget of every Herglotz integral
+_REL_TOL = 1e-12
+_BUDGET = 200_000
 
 
 class DomainError(ValueError):
@@ -85,8 +88,6 @@ def _check_height(h: float):
 @dataclass(frozen=True)
 class QuadratureSettings:
     abs_tol: float = 1e-9       # absolute tolerance on the integral I(w)
-    rel_tol: float = 1e-12
-    budget: int = 200_000
 
 
 def _softplus(u):
@@ -169,13 +170,13 @@ def _herglotz(w: complex, p: float, settings: QuadratureSettings,
     evals = 0
     for side in (+1, -1):
         pts = [s_floor] + _herglotz_knots(w, side, s_floor, s_top) + [s_top]
-        budget = settings.budget - evals
+        budget = _BUDGET - evals
         if budget < 45:
             raise BudgetExceededError(
                 "Herglotz integral ran out of budget",
                 QuadratureResult(complex(value[0]), float(error[0]), evals))
         v, e, n, ok = integrate_rows(integrand(side), pts, abs_tols / 2.0,
-                                     settings.rel_tol, budget)
+                                     _REL_TOL, budget)
         value += v
         error += e
         evals += n

@@ -193,13 +193,19 @@ def _affine(label, region, a, b) -> AnalyticMap:
                        evaluate=evaluate, regime=Regime.RATIONAL)
 
 
+# The one tolerance of every index-one strip solution.  An error of 1e-8 in
+# the Herglotz integral moves the phase of f by at most 1e-8 / 2 pi, inside
+# the index-one boundary tolerance of 1e-8 on bottom-edge reality.
+_STRIP_SETTINGS = QuadratureSettings(abs_tol=1e-8)
+
+
 class StripTraces:
     """The positive-sign strip solution at height h with its values memoized
     per evaluation batch; the memo lives as long as the quilts that share
     it, whose identical checks ask for identical batches."""
 
-    def __init__(self, h: float, settings: QuadratureSettings | None = None):
-        self.sol = PoissonSolution(h, +1, settings or QuadratureSettings())
+    def __init__(self, h: float):
+        self.sol = PoissonSolution(h, +1, _STRIP_SETTINGS)
         self._memo: dict = {}
 
     def __call__(self, z: np.ndarray, gauge: np.ndarray, deriv: bool):
@@ -475,14 +481,13 @@ def all_floer_strips() -> list[AnalyticMap]:
             for i in range(dim + 1) for s1 in (+1, -1) for s2 in (+1, -1)]
 
 
-def sector_family(h: float,
-                  settings: QuadratureSettings | None = None) -> list[Quilt]:
+def sector_family(h: float) -> list[Quilt]:
     """The twelve quilted strips over an interior height h: four with
     constant projection and eight with index-one projection, which share
     one ``StripTraces``."""
     quilts = [make_const_projection_quilt(h, s1, s2)
               for s1 in (+1, -1) for s2 in (+1, -1)]
-    traces = StripTraces(h, settings)
+    traces = StripTraces(h)
     quilts += [_maslov1(traces, variant, s1, fsign)
                for variant in (0, 1) for s1 in (+1, -1)
                for fsign in (+1, -1)]

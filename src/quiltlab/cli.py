@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -22,10 +22,9 @@ from .moment_figure import (emit_moment_figure, figure_svg, write_figure_csvs)
 from .verify import (SWEEP_FAMILIES, ToleranceProfile, default_profile,
                      patch_area, sweep_family, verify_quilt)
 
-# config-file value types besides strings; h and h_grid are parsed as
-# heights in from_namespace
-_FILE_TYPES = {"samples": (int,), "grid": (int,), "tol_seam": (int, float),
-               "tol_boundary": (int, float), "tol_area": (int, float)}
+# the positive-integer keys; every other config-file value is a string,
+# except h and h_grid, which from_namespace parses as heights
+_COUNTS = ("samples", "grid")
 
 
 @dataclass
@@ -36,9 +35,6 @@ class RunConfig:
     h: float | None = None
     h_grid: tuple[float, ...] = (0.15, 0.5, 1.0, 1.4)
     samples: int | None = None
-    tol_seam: float | None = None
-    tol_boundary: float | None = None
-    tol_area: float | None = None
     out: str | None = None
     report: str | None = None
     tamper: str | None = None
@@ -58,13 +54,13 @@ class RunConfig:
             if unknown:
                 raise UsageError(f"unknown config keys: {sorted(unknown)}")
             for name, value in file_values.items():
-                kinds = _FILE_TYPES.get(name, (str,))
+                kind = int if name in _COUNTS else str
                 if name in ("h", "h_grid") or \
                         (value is None and getattr(cfg, name) is None):
                     continue
-                if isinstance(value, bool) or not isinstance(value, kinds):
+                if isinstance(value, bool) or not isinstance(value, kind):
                     raise UsageError(f"config key {name} must be of type "
-                                     f"{kinds[-1].__name__}, got {value!r}")
+                                     f"{kind.__name__}, got {value!r}")
         for f in fields(cls):
             if f.name in file_values:
                 setattr(cfg, f.name, file_values[f.name])
@@ -83,6 +79,11 @@ class RunConfig:
         for h in cfg.h_grid + ((cfg.h,) if cfg.h is not None else ()):
             if not (0.0 < h < cat.HALF_PI):
                 raise UsageError(f"height {h} outside (0, pi/2)")
+        for name in _COUNTS:
+            value = getattr(cfg, name)
+            if value is not None and value < 1:
+                raise UsageError(f"{name} must be a positive integer, got "
+                                 f"{value}")
         if cfg.family not in SWEEP_FAMILIES:
             raise UsageError(f"unknown sweep family {cfg.family!r}")
         return cfg
@@ -93,21 +94,8 @@ class UsageError(ValueError):
 
 
 def _profile_for(cfg: RunConfig, quilt: cat.Quilt) -> ToleranceProfile:
-    base = default_profile(quilt)
-    kwargs = {}
-    if cfg.tol_seam is not None:
-        kwargs["seam_tol"] = cfg.tol_seam
-    if cfg.tol_boundary is not None:
-        kwargs["boundary_tol"] = cfg.tol_boundary
-    if cfg.tol_area is not None:
-        kwargs["area_tol"] = cfg.tol_area
-    if cfg.samples is not None:
-        kwargs["seam_samples"] = cfg.samples
-        kwargs["boundary_samples"] = cfg.samples
-    if not kwargs:
-        return base
-    from dataclasses import replace
-    return replace(base, **kwargs)
+    tol = default_profile(quilt)
+    return tol if cfg.samples is None else replace(tol, samples=cfg.samples)
 
 
 def _parse_tamper(text: str | None):
@@ -124,14 +112,10 @@ def _parse_tamper(text: str | None):
 
 
 def _write_report(report_dict: dict, cfg: RunConfig) -> None:
-    text = json.dumps(report_dict, indent=2, sort_keys=True)
     if cfg.report:
+        text = json.dumps(report_dict, indent=2, sort_keys=True)
         Path(cfg.report).parent.mkdir(parents=True, exist_ok=True)
         Path(cfg.report).write_text(text + "\n")
-    if cfg.out:
-        outdir = Path(cfg.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        (outdir / "report.json").write_text(text + "\n")
 
 
 def cmd_catalog(cfg: RunConfig) -> int:
@@ -164,15 +148,9 @@ def cmd_verify(cfg: RunConfig) -> int:
 def cmd_area(cfg: RunConfig) -> int:
     obj = _resolve(cfg)
     entries = []
-    if isinstance(obj, cat.AnalyticMap):
-        value, err = patch_area(obj)
-        entries.append({"patch": obj.label, "value": value, "err": err})
-    else:
-        fast = default_profile(obj).fast_area
-        for patch in obj.patches:
-            value, err = patch_area(patch, fast=fast)
-            entries.append({"patch": patch.label, "value": value,
-                            "err": err})
+    for patch in [obj] if isinstance(obj, cat.AnalyticMap) else obj.patches:
+        value, err = patch_area(patch)
+        entries.append({"patch": patch.label, "value": value, "err": err})
     payload = {"id": cfg.quilt, "areas": entries,
                "total": sum(e["value"] for e in entries)}
     _write_report(payload, cfg)
@@ -292,13 +270,10 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=text)
         p.add_argument("--quilt", required=False)
         p.add_argument("--h", type=float)
-        p.add_argument("--samples", type=int)
-        p.add_argument("--tol-seam", dest="tol_seam", type=float)
-        p.add_argument("--tol-boundary", dest="tol_boundary", type=float)
-        p.add_argument("--tol-area", dest="tol_area", type=float)
-        p.add_argument("--out")
         p.add_argument("--report")
         if name == "verify":
+            p.add_argument("--samples", type=int,
+                           help="samples per seam and boundary edge")
             p.add_argument("--tamper", help="negative-control hook, "
                                             "e.g. seam+0.01")
 
@@ -307,14 +282,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=tuple(SWEEP_FAMILIES))
     p.add_argument("--h-grid", dest="h_grid",
                    help="comma-separated heights in (0, pi/2)")
-    p.add_argument("--out")
     p.add_argument("--report")
 
     p = sub.add_parser("floer", help="print the mod-2 differentials and "
                                      "their squares")
     p.add_argument("--side", choices=("cp1", "cp2", "both"))
     p.add_argument("--report")
-    p.add_argument("--out")
 
     p = sub.add_parser("moment-plot", help="emit moment-triangle figure "
                                            "data (CSV + SVG)")

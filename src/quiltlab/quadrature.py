@@ -44,6 +44,8 @@ _WG = np.array([
 ])
 
 _TAIL_SPAN = 64.0
+# |t| beyond which integrate_line switches to the logarithmic tails
+_TAIL_START = 1.0
 
 
 @dataclass(frozen=True)
@@ -59,15 +61,6 @@ class BudgetExceededError(RuntimeError):
     def __init__(self, message: str, best: QuadratureResult):
         super().__init__(message)
         self.best = best
-
-
-@dataclass(frozen=True)
-class IntegrandProfile:
-    """Hints for ``integrate_line``: interior breakpoints (cusps, peaks) and
-    where the logarithmic tail substitution should take over."""
-
-    splits: tuple[float, ...] = ()
-    tail_start: float = 1.0
 
 
 def _panel(f, a: float, b: float):
@@ -235,20 +228,20 @@ def integrate_interval(f, a: float, b: float, *, abs_tol: float = 1e-10,
     return result
 
 
-def integrate_line(f, profile: IntegrandProfile | None = None, *,
+def integrate_line(f, *, splits: Sequence[float] = (),
                    abs_tol: float = 1e-10, rel_tol: float = 1e-10,
                    budget: int = 200_000) -> QuadratureResult:
-    """Integrate f over the whole real line.
+    """Integrate f over the whole real line, with breakpoints at ``splits``
+    (cusps, peaks).
 
     Requires f continuous and absolutely integrable with decay at least
     log|t|/t^2.  The central part is integrated in t; each tail is mapped by
     t = +-exp(s) so that admissible integrands decay exponentially in s.
     """
-    profile = profile or IntegrandProfile()
-    t0 = max(profile.tail_start, 1e-8)
+    t0 = _TAIL_START
     central = [-t0, 0.0, t0]
     tail_knots = []
-    for s in profile.splits:
+    for s in splits:
         if abs(s) < t0:
             central.append(float(s))
         else:

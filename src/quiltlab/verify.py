@@ -6,8 +6,10 @@ Areas integrate the Fubini-Study pullback density in two nested quadratures:
 the inner x-integral runs over the full line for rationally decaying maps
 and over a truncated interval (with an explicit exponential tail bound) for
 Moebius/exponential maps; the outer y-integral is adaptive on strips and
-tangent-compactified on half-planes.  Reports are deterministic functions of
-(quilt, tolerance profile, sample spec).
+tangent-compactified on half-planes.  Every tolerance is a property of
+the quilt: ``default_profile`` and the area rule follow from the regimes of
+its patches, so a report is a deterministic function of the quilt and the
+sample count.
 """
 
 from __future__ import annotations
@@ -19,13 +21,16 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import catalog as cat
-from .analysis import QuadratureSettings
 from .geometry import (_fs_distance_rows, _unit_rows,
                        correspondence_residual_rows, homogeneous_density,
                        lagrangian_residual_rows)
-from .quadrature import IntegrandProfile, integrate_interval, integrate_line
+from .quadrature import integrate_interval, integrate_line
 
 HALF_PI = math.pi / 2.0
+# the Re z span of the seam and boundary samples
+X_RANGE = (-50.0, 50.0)
+# absolute tolerance of the strict area quadrature
+_AREA_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -34,11 +39,8 @@ class ToleranceProfile:
     boundary_tol: float = 1e-12
     area_tol: float = 1e-4
     cr_tol: float = 1e-5
-    seam_samples: int = 1000
-    boundary_samples: int = 1000
+    samples: int = 1000             # per seam and per boundary edge
     cr_samples: int = 48
-    x_range: tuple[float, float] = (-50.0, 50.0)
-    fast_area: bool = False
 
 
 STRICT_PROFILE = ToleranceProfile()
@@ -46,11 +48,11 @@ STRICT_PROFILE = ToleranceProfile()
 # of the top-edge modulus, bottom-edge reality the integral tolerance.
 MASLOV1_PROFILE = ToleranceProfile(
     seam_tol=1e-4, boundary_tol=1e-8, area_tol=5e-3, cr_tol=1e-4,
-    seam_samples=160, boundary_samples=160, cr_samples=12, fast_area=True)
+    samples=160, cr_samples=12)
 
 
 def default_profile(quilt: cat.Quilt) -> ToleranceProfile:
-    if quilt.family.startswith("maslov1"):
+    if any(p.regime is cat.Regime.QUADRATURE for p in quilt.patches):
         return MASLOV1_PROFILE
     return STRICT_PROFILE
 
@@ -71,7 +73,7 @@ def _safe_x_range(quilt: cat.Quilt, x_range):
 
 def seam_residual_profile(quilt: cat.Quilt, seam_index: int = 0, *,
                           samples: int = 1000,
-                          x_range: tuple[float, float] = (-50.0, 50.0),
+                          x_range: tuple[float, float] = X_RANGE,
                           offset: float = 0.0) -> ProfileResult:
     """Max over equispaced seam samples of the correspondence residual
     between the two patch traces."""
@@ -95,7 +97,7 @@ def seam_residual_profile(quilt: cat.Quilt, seam_index: int = 0, *,
 
 def boundary_residual_profile(quilt: cat.Quilt, boundary_index: int, *,
                               samples: int = 1000,
-                              x_range: tuple[float, float] = (-50.0, 50.0),
+                              x_range: tuple[float, float] = X_RANGE,
                               offset: float = 0.0) -> ProfileResult:
     edge = quilt.boundaries[boundary_index]
     patch = quilt.patches[edge.patch]
@@ -123,19 +125,19 @@ def _density_line(m: cat.AnalyticMap, y: float):
     return rho
 
 
-def patch_area(m: cat.AnalyticMap, *, abs_tol: float = 1e-8,
-               fast: bool = False, x_cut: float = 32.0,
+def patch_area(m: cat.AnalyticMap, *, x_cut: float = 32.0,
                y_cut: float = 1e7) -> tuple[float, float]:
     """Integral of the pullback density over the patch region, with an error
     estimate that includes quadrature and truncation-tail contributions.
 
-    fast=True relaxes the inner tolerance and caps outer refinement; the
-    index-one profile uses it, since each quadrature-backed density
-    evaluation costs a Herglotz integral.
+    A quadrature-backed patch takes a relaxed inner tolerance and a capped
+    outer refinement, since each of its density evaluations costs a
+    Herglotz integral.
     """
     if m.regime is cat.Regime.CONSTANT:
         return 0.0, 0.0
-    inner_tol = 2e-5 if fast else max(abs_tol * 3e-3, 1e-12)
+    fast = m.regime is cat.Regime.QUADRATURE
+    inner_tol = 2e-5 if fast else _AREA_TOL * 3e-3
     if fast:
         x_cut = min(x_cut, 16.0)
     tail_box = [0.0]
@@ -144,8 +146,8 @@ def patch_area(m: cat.AnalyticMap, *, abs_tol: float = 1e-8,
     def inner(y: float) -> float:
         rho = _density_line(m, y)
         if m.regime is cat.Regime.RATIONAL:
-            res = integrate_line(rho, IntegrandProfile(splits=(0.0,)),
-                                 abs_tol=inner_tol, rel_tol=1e-9)
+            res = integrate_line(rho, splits=(0.0,), abs_tol=inner_tol,
+                                 rel_tol=1e-9)
             val = float(np.real(res.value))
             inner_err_box[0] = max(inner_err_box[0], res.error_estimate)
             return val
@@ -174,7 +176,7 @@ def patch_area(m: cat.AnalyticMap, *, abs_tol: float = 1e-8,
                                      raise_on_budget=False)
         else:
             res = integrate_interval(outer, y_lo, y_hi,
-                                     abs_tol=abs_tol * 0.3, rel_tol=1e-9,
+                                     abs_tol=_AREA_TOL * 0.3, rel_tol=1e-9,
                                      raise_on_budget=False)
         y_span = y_hi - y_lo
     else:
@@ -190,7 +192,7 @@ def patch_area(m: cat.AnalyticMap, *, abs_tol: float = 1e-8,
             return out
 
         res = integrate_interval(outer, 0.0, theta_end,
-                                 abs_tol=abs_tol * 0.3, rel_tol=1e-9,
+                                 abs_tol=_AREA_TOL * 0.3, rel_tol=1e-9,
                                  raise_on_budget=False)
         # density integrals on far lines fall off like 1/y^3
         tail_box[0] += 0.5 * abs(inner(y_cut)) * y_cut
@@ -272,21 +274,19 @@ def verify_quilt(quilt: cat.Quilt, tol: ToleranceProfile | None = None, *,
 
     seams = []
     for i in range(len(quilt.seams)):
-        r = seam_residual_profile(quilt, i, samples=tol.seam_samples,
-                                  x_range=tol.x_range, offset=seam_offset)
+        r = seam_residual_profile(quilt, i, samples=tol.samples,
+                                  offset=seam_offset)
         seams.append({"index": i, "max": r.max_residual, "at": r.at,
                       "failures": r.failures})
     boundaries = []
     for i in range(len(quilt.boundaries)):
-        r = boundary_residual_profile(quilt, i,
-                                      samples=tol.boundary_samples,
-                                      x_range=tol.x_range,
+        r = boundary_residual_profile(quilt, i, samples=tol.samples,
                                       offset=boundary_offset)
         boundaries.append({"index": i, "max": r.max_residual, "at": r.at,
                            "failures": r.failures})
     areas = []
     for patch in quilt.patches:
-        value, err = patch_area(patch, fast=tol.fast_area)
+        value, err = patch_area(patch)
         areas.append({"patch": patch.label, "value": value, "err": err})
     total = sum(a["value"] for a in areas)
     holomorphy = [
@@ -307,8 +307,8 @@ def verify_quilt(quilt: cat.Quilt, tol: ToleranceProfile | None = None, *,
     return VerificationReport(
         label=quilt.label, seams=seams, boundaries=boundaries, areas=areas,
         total_area=total, holomorphy=holomorphy, passed=bool(passed),
-        samples={"seam": tol.seam_samples, "boundary": tol.boundary_samples,
-                 "cr": tol.cr_samples, "x_range": list(tol.x_range)},
+        samples={"seam": tol.samples, "boundary": tol.samples,
+                 "cr": tol.cr_samples, "x_range": list(X_RANGE)},
         expected_area=quilt.expected_area)
 
 
@@ -353,20 +353,18 @@ SWEEP_FAMILIES = {"const": ("const",), "maslov1": ("maslov1",),
 
 def sweep_family(family: str, h_grid, *,
                  limit_checks: bool = True) -> SweepResult:
-    """Verify every component of ``family`` (a key of ``SWEEP_FAMILIES``)
-    over the supplied heights, as ``verify_quilt`` does one quilt, and
-    collect the interval-end diagnostics.  The index-one quilts at a height
-    share one strip solution (``sector_family``), so each trace is computed
-    once per height."""
+    """``verify_quilt`` on every component of ``family`` (a key of
+    ``SWEEP_FAMILIES``) at each of the supplied heights, plus the
+    interval-end diagnostics.  The index-one quilts at a height share one
+    strip solution (``sector_family``), so each trace is computed once per
+    height."""
     if family not in SWEEP_FAMILIES:
         raise ValueError(f"unknown sweep family {family!r}; expected one "
                          f"of {', '.join(SWEEP_FAMILIES)}")
     for h in h_grid:
         if not (0.0 < h < HALF_PI):
             raise ValueError(f"sweep height {h} outside (0, pi/2)")
-    settings = QuadratureSettings(abs_tol=1e-8)
-    reports = {h: [verify_quilt(q, default_profile(q))
-                   for q in cat.sector_family(h, settings)
+    reports = {h: [verify_quilt(q) for q in cat.sector_family(h)
                    if q.family in SWEEP_FAMILIES[family]]
                for h in h_grid}
     diagnostics: dict[str, dict] = {"const": {}, "maslov1": {}}

@@ -231,10 +231,10 @@ def test_with_blaschke_requires_matching_family(acw_plus, maslov1_pi4):
 @pytest.mark.slow
 def test_with_blaschke_area_increment_is_half_integer(maslov1_pi4):
     # one zero on the bottom edge raises the area by one half
-    base, base_err = patch_area(maslov1_pi4.patches[0], fast=True)
+    base, base_err = patch_area(maslov1_pi4.patches[0])
     data = BlaschkeData((2.0,), maslov1_pi4.h)
     twisted = with_blaschke(maslov1_pi4, data)
-    value, err = patch_area(twisted.patches[0], fast=True)
+    value, err = patch_area(twisted.patches[0])
     assert value > base
     assert abs((value - base) - 0.5) <= 1e-3
 

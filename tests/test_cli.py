@@ -50,6 +50,10 @@ def test_verify_unknown_id_is_usage_error(capsys):
     ["catalog", "--h", "0"],
     ["sweep", "--family", "const", "--h-grid", "0.5,2.0"],
     ["sweep", "--h-grid", "0.5,x"],
+    ["moment-plot", "--grid", "-5"],
+    ["moment-plot", "--grid", "0"],
+    ["verify", "--quilt", "quilt.acw.plus", "--samples", "-3"],
+    ["verify", "--quilt", "quilt.acw.plus", "--samples", "0"],
 ])
 def test_bad_input_exits_2_with_one_line(argv, capsys, monkeypatch):
     def no_sweep(*args, **kwargs):
@@ -92,10 +96,12 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys, monkeypatch):
             ({"h": "abc"}, "catalog"),
             ({"family": "bogus", "h_grid": [0.5]}, "sweep"),
             ({"samples": "abc", "quilt": "quilt.acw.plus"}, "verify"),
-            ({"tol_seam": "big", "quilt": "quilt.acw.plus"}, "verify"),
+            ({"tol_seam": 1e-3, "quilt": "quilt.acw.plus"}, "verify"),
             ({"samples": True, "quilt": "quilt.acw.plus"}, "verify"),
             ({"quilt": 7}, "verify"),
-            ({"grid": "x"}, "moment-plot")):
+            ({"grid": "x"}, "moment-plot"),
+            ({"samples": -3, "quilt": "quilt.acw.plus"}, "verify"),
+            ({"grid": 0}, "moment-plot")):
         cfg.write_text(json.dumps(values))
         assert main(["--config", str(cfg), command]) == 2, values
         captured = capsys.readouterr()
@@ -107,7 +113,6 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys, monkeypatch):
 def test_config_file_accepts_typed_values(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"quilt": "quilt.acw.plus", "samples": 64,
-                               "tol_seam": 1e-12, "tol_area": 1,
                                "report": None}))
     assert main(["--config", str(cfg), "verify"]) == 0
 

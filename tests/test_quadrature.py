@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quiltlab.quadrature import (BudgetExceededError, IntegrandProfile,
-                                 integrate_interval, integrate_line,
-                                 integrate_rows)
+from quiltlab.quadrature import (BudgetExceededError, integrate_interval,
+                                 integrate_line, integrate_rows)
 
 SQRT_PI = 1.7724538509055160273
 TWO_PI_LOG2 = 4.355172180607204261  # high-precision offline value
@@ -46,8 +45,7 @@ def test_scaled_lorentzian_family(a, b):
 
 
 def test_interior_split_points_help_with_kinks():
-    res = integrate_line(lambda t: np.exp(-np.abs(t - 0.5)),
-                         IntegrandProfile(splits=(0.5,)))
+    res = integrate_line(lambda t: np.exp(-np.abs(t - 0.5)), splits=(0.5,))
     assert abs(res.value - 2.0) <= 1e-9
 
 

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from quiltlab import catalog
+from quiltlab.analysis import BlaschkeData
 from quiltlab.catalog import (BoundaryEdge, Quilt, all_floer_strips,
                               make_const_projection_quilt,
-                              make_eight_bubble_sheet_switch, sector_family)
+                              make_eight_bubble_sheet_switch, with_blaschke)
 from quiltlab.geometry import LagrangianId
 from quiltlab.verify import (MASLOV1_PROFILE, STRICT_PROFILE,
                              boundary_residual_profile, default_profile,
@@ -147,6 +148,10 @@ def test_report_schema_keys(acw_plus):
 def test_default_profile_selection(acw_plus, maslov1_pi4):
     assert default_profile(acw_plus) is STRICT_PROFILE
     assert default_profile(maslov1_pi4) is MASLOV1_PROFILE
+    twisted = with_blaschke(maslov1_pi4, BlaschkeData((2.0,), maslov1_pi4.h))
+    assert default_profile(twisted) is MASLOV1_PROFILE
+    bubble = make_eight_bubble_sheet_switch(+1, -1)
+    assert default_profile(bubble) is STRICT_PROFILE
 
 
 @pytest.mark.slow
@@ -161,36 +166,45 @@ def test_maslov1_report_passes(maslov1_pi4):
 # ---------------------------------------------------------------------------
 # sweep
 
-@pytest.mark.slow
-def test_sweep_single_height_all_components_pass(monkeypatch):
+@pytest.fixture(scope="module")
+def sweep_h08():
+    """sweep_family("all", [0.8]) and the x of every top-edge extrapolation
+    it asked the catalog for."""
     calls = []
+    boundary_modulus = catalog.boundary_modulus
 
     def counted(sol, x, details=False):
         calls.append(x)
         return boundary_modulus(sol, x, details)
 
-    boundary_modulus = catalog.boundary_modulus
-    monkeypatch.setattr(catalog, "boundary_modulus", counted)
-    result = sweep_family("all", [0.8], limit_checks=True)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(catalog, "boundary_modulus", counted)
+        result = sweep_family("all", [0.8], limit_checks=True)
+    return result, calls
+
+
+@pytest.mark.slow
+def test_sweep_single_height_all_components_pass(sweep_h08):
+    result, calls = sweep_h08
     assert len(result.reports[0.8]) == 12
     assert result.passed
     # the eight index-one quilts share one top-edge trace: one
     # extrapolation per seam sample
-    assert len(calls) == MASLOV1_PROFILE.seam_samples == 160
-    # and each report takes its CP^1 area the way verify_quilt does
-    family = {q.label: q for q in sector_family(0.8)}
-    maslov1 = [r for r in result.reports[0.8]
-               if family[r.label].family == "maslov1"]
-    assert len(maslov1) == 8
-    for rep in maslov1:
-        value, err = patch_area(family[rep.label].patches[1], fast=True)
-        assert rep.areas[1] == {"patch": family[rep.label].patches[1].label,
-                                "value": value, "err": err}
+    assert len(calls) == MASLOV1_PROFILE.samples == 160
     diag = result.diagnostics
     assert diag["const"]["h_to_0_rescale_max"] <= 1e-12
     assert diag["const"]["h_to_pi2_sup_distance"] <= 1e-2
     assert diag["maslov1"]["h_to_0_identity_max"] <= 1e-12
     assert diag["maslov1"]["h_to_pi2_sup_distance"] <= 1e-2
+
+
+@pytest.mark.slow
+def test_sweep_reports_equal_verify_of_their_ids(sweep_h08):
+    result, _ = sweep_h08
+    reports = {r.label: r for r in result.reports[0.8]}
+    for label in ("quilt.const.h0.8.pm", "quilt.maslov1.h0.8.v1.m.fplus"):
+        assert reports[label].to_dict() == \
+            verify_quilt(catalog.resolve(label)).to_dict()
 
 
 def test_sweep_rejects_bad_heights(monkeypatch):
