@@ -383,7 +383,8 @@ def blaschke_log_derivative(data: BlaschkeData, z):
 def winding_number(fmap, rect, *, samples: int = 128,
                    max_doublings: int = 6) -> int:
     """Winding of fmap around 0 along the rectangle boundary (x0, x1, y0, y1),
-    equal to the number of interior zeros for holomorphic fmap.  The phase is
+    equal to the number of interior zeros for holomorphic fmap, which maps
+    an array of points to an array of the same shape.  The phase is
     tracked along an adaptively densified boundary polyline, which realizes
     the boundary integral of the logarithmic derivative."""
     x0, x1, y0, y1 = map(float, rect)
@@ -396,12 +397,10 @@ def winding_number(fmap, rect, *, samples: int = 128,
         top = np.linspace(x1, x0, n, endpoint=False) + 1j * y1
         left = x0 + 1j * np.linspace(y1, y0, n, endpoint=False)
         pts = np.concatenate([bottom, right, top, left])
-        try:
-            vals = np.asarray(fmap(pts), dtype=complex)
-            if vals.shape != pts.shape:
-                raise TypeError
-        except Exception:
-            vals = np.array([fmap(z) for z in pts], dtype=complex)
+        vals = np.asarray(fmap(pts), dtype=complex)
+        if vals.shape != pts.shape:
+            raise ValueError(f"fmap returned shape {vals.shape} for "
+                             f"{pts.shape} points; it must be vectorized")
         if np.min(np.abs(vals)) < 1e-6:
             raise UnreliableContourError(
                 "map nearly vanishes on the contour; zero count unreliable")

@@ -59,7 +59,6 @@ class FigureData:
     u2_top_edge: np.ndarray             # (n, 3): x, y, lambda-line residual
     u1_segment: np.ndarray              # (n, 3): x, y, lambda-line residual
     symmetry_pairs: np.ndarray          # (n, 4): m(x+iy), m(-x+iy)
-    grid: int
 
     def max_triangle_violation(self) -> float:
         worst = 0.0
@@ -129,19 +128,22 @@ def emit_moment_figure(grid: int = 200) -> FigureData:
         triangle=TRIANGLE, lambda_segment=lambda_layer,
         lac_segment=lac_layer, u2_right_edge=right_layer,
         u2_bottom_edge=bottom_layer, u2_top_edge=top_layer,
-        u1_segment=u1_layer, symmetry_pairs=pairs, grid=n)
+        u1_segment=u1_layer, symmetry_pairs=pairs)
 
 
 # ---------------------------------------------------------------------------
 # serialization
 
 _LAYERS = (
+    ("figure_triangle.csv", "triangle", ("x", "y")),
     ("figure_lambda.csv", "lambda_segment", ("x", "y", "residual")),
     ("figure_lac.csv", "lac_segment", ("x", "y", "residual")),
     ("figure_u2_right_edge.csv", "u2_right_edge", ("x", "y", "residual")),
     ("figure_u2_bottom_edge.csv", "u2_bottom_edge", ("x", "y", "residual")),
     ("figure_u2_top_edge.csv", "u2_top_edge", ("x", "y", "residual")),
     ("figure_u1_segment.csv", "u1_segment", ("x", "y", "residual")),
+    ("figure_symmetry_pairs.csv", "symmetry_pairs",
+     ("x_pos", "y_pos", "x_neg", "y_neg")),
 )
 
 
@@ -151,12 +153,6 @@ def _fmt(v: float) -> str:
 
 def figure_csv_strings(fig: FigureData) -> dict[str, str]:
     out = {}
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\r\n")
-    w.writerow(("x", "y"))
-    for x, y in fig.triangle:
-        w.writerow((_fmt(x), _fmt(y)))
-    out["figure_triangle.csv"] = buf.getvalue()
     for fname, attr, header in _LAYERS:
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\r\n")
@@ -164,12 +160,6 @@ def figure_csv_strings(fig: FigureData) -> dict[str, str]:
         for row in getattr(fig, attr):
             w.writerow(tuple(_fmt(v) for v in row))
         out[fname] = buf.getvalue()
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\r\n")
-    w.writerow(("x_pos", "y_pos", "x_neg", "y_neg"))
-    for row in fig.symmetry_pairs:
-        w.writerow(tuple(_fmt(v) for v in row))
-    out["figure_symmetry_pairs.csv"] = buf.getvalue()
     return out
 
 

@@ -61,7 +61,6 @@ def default_profile(quilt: cat.Quilt) -> ToleranceProfile:
 class ProfileResult:
     max_residual: float
     at: float
-    samples: int
     failures: int = 0
 
 
@@ -89,10 +88,9 @@ def seam_residual_profile(quilt: cat.Quilt, seam_index: int = 0, *,
                                                         rows2[good])
     residual = np.where(defined, np.maximum(level, proj), level)
     if residual.size == 0:
-        return ProfileResult(math.inf, math.nan, samples, failures)
+        return ProfileResult(math.inf, math.nan, failures)
     k = int(np.argmax(residual))
-    return ProfileResult(float(residual[k]), float(x[good][k]), samples,
-                         failures)
+    return ProfileResult(float(residual[k]), float(x[good][k]), failures)
 
 
 def boundary_residual_profile(quilt: cat.Quilt, boundary_index: int, *,
@@ -108,10 +106,9 @@ def boundary_residual_profile(quilt: cat.Quilt, boundary_index: int, *,
     failures = int(np.sum(~good))
     residual = lagrangian_residual_rows(edge.lagrangian, rows[good])
     if residual.size == 0:
-        return ProfileResult(math.inf, math.nan, samples, failures)
+        return ProfileResult(math.inf, math.nan, failures)
     k = int(np.argmax(residual))
-    return ProfileResult(float(residual[k]), float(x[good][k]), samples,
-                         failures)
+    return ProfileResult(float(residual[k]), float(x[good][k]), failures)
 
 
 # ---------------------------------------------------------------------------
@@ -264,11 +261,12 @@ class VerificationReport:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
 
-def verify_quilt(quilt: cat.Quilt, tol: ToleranceProfile | None = None, *,
+def verify_quilt(quilt: cat.Quilt, *,
                  tamper: tuple[str, float] | None = None
                  ) -> VerificationReport:
-    """Aggregate seam, boundary, area, and holomorphy checks into a report."""
-    tol = tol or default_profile(quilt)
+    """Aggregate seam, boundary, area, and holomorphy checks into a report,
+    with the quilt's own tolerance profile."""
+    tol = default_profile(quilt)
     seam_offset = tamper[1] if tamper and tamper[0] == "seam" else 0.0
     boundary_offset = tamper[1] if tamper and tamper[0] == "boundary" else 0.0
 

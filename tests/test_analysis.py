@@ -256,6 +256,11 @@ def test_winding_of_entire_function():
     assert winding_number(lambda z: np.exp(z), (-2, 2, 0.1, 0.7)) == 0
 
 
+def test_winding_rejects_unvectorized_map():
+    with pytest.raises(ValueError):
+        winding_number(lambda z: 1.0 + 0j, (0, 1, 0, 1))
+
+
 def test_winding_rejects_vanishing_contour():
     with pytest.raises(UnreliableContourError):
         winding_number(lambda z: z - (0.5 + 0.25j), (0, 1, 0.25, 1.25))

@@ -54,6 +54,7 @@ def test_verify_unknown_id_is_usage_error(capsys):
     ["moment-plot", "--grid", "0"],
     ["verify", "--quilt", "quilt.acw.plus", "--samples", "-3"],
     ["verify", "--quilt", "quilt.acw.plus", "--samples", "0"],
+    ["verify", "--quilt", "quilt.acw.plus", "--samples", "160"],
 ])
 def test_bad_input_exits_2_with_one_line(argv, capsys, monkeypatch):
     def no_sweep(*args, **kwargs):
@@ -73,7 +74,7 @@ def test_bad_tamper_spec_is_usage_error(capsys):
 
 def test_config_file_with_flag_override(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"quilt": "quilt.acw.minus", "samples": 64}))
+    cfg.write_text(json.dumps({"quilt": "quilt.acw.minus", "h": 0.5}))
     code = main(["--config", str(cfg), "verify"])
     assert code == 0
     out = capsys.readouterr().out
@@ -101,7 +102,10 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys, monkeypatch):
             ({"quilt": 7}, "verify"),
             ({"grid": "x"}, "moment-plot"),
             ({"samples": -3, "quilt": "quilt.acw.plus"}, "verify"),
-            ({"grid": 0}, "moment-plot")):
+            ({"grid": 0}, "moment-plot"),
+            ({"samples": 160, "quilt": "quilt.acw.plus"}, "verify"),
+            ({"grid": 100, "quilt": "quilt.acw.plus"}, "verify"),
+            ({"report": 5, "quilt": "quilt.acw.plus"}, "verify")):
         cfg.write_text(json.dumps(values))
         assert main(["--config", str(cfg), command]) == 2, values
         captured = capsys.readouterr()
@@ -112,7 +116,7 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys, monkeypatch):
 
 def test_config_file_accepts_typed_values(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"quilt": "quilt.acw.plus", "samples": 64,
+    cfg.write_text(json.dumps({"quilt": "quilt.acw.plus", "h": 0.5,
                                "report": None}))
     assert main(["--config", str(cfg), "verify"]) == 0
 
