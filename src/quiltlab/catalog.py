@@ -38,9 +38,11 @@ from typing import Callable
 
 import numpy as np
 
-from .analysis import (BlaschkeData, PoissonSolution, QuadratureSettings,
-                       blaschke_eval, blaschke_log_derivative,
-                       boundary_modulus, f_and_derivative, log_f)
+from .analysis import (EDGE_STEPS, BlaschkeData, PoissonSolution,
+                       QuadratureSettings, blaschke_eval,
+                       blaschke_log_derivative, boundary_modulus,
+                       extrapolate_to_edge, f_and_derivative,
+                       halfplane_points, herglotz_batch, log_f)
 from .geometry import LagrangianId, ProjectivePoint, normalize
 
 SIGNS = {"p": +1, "m": -1, "plus": +1, "minus": -1}
@@ -202,7 +204,11 @@ _STRIP_SETTINGS = QuadratureSettings(abs_tol=1e-8)
 class StripTraces:
     """The positive-sign strip solution at height h with its values memoized
     per evaluation batch; the memo lives as long as the quilts that share
-    it, whose identical checks ask for identical batches."""
+    it, whose identical checks ask for identical batches.
+
+    Each batch is one ``herglotz_batch`` call.  A point whose error estimate
+    misses the adaptive engine's tolerance is recomputed by that engine
+    through ``log_f``, ``f_and_derivative`` or ``boundary_modulus``."""
 
     def __init__(self, h: float):
         self.sol = PoissonSolution(h, +1, _STRIP_SETTINGS)
@@ -211,21 +217,62 @@ class StripTraces:
     def __call__(self, z: np.ndarray, gauge: np.ndarray, deriv: bool):
         """Rows f(z) exp(-gauge), or with deriv (f, f') exp(-gauge), one per
         point.  On the top edge, where direct quadrature cannot reach, f is
-        replaced by the extrapolated modulus |f|."""
+        replaced by the extrapolated modulus |f|, and by NaN where the
+        extrapolation does not converge."""
         key = (z.tobytes(), gauge.tobytes(), deriv)
         if key not in self._memo:
-            self._memo[key] = np.array(
-                [self._point(zz, gg, deriv) for zz, gg in zip(z, gauge)],
-                dtype=complex).reshape(z.size, 1 + deriv)
+            self._memo[key] = self._derivs(z, gauge) if deriv else \
+                self._values(z, gauge)
         return self._memo[key]
 
-    def _point(self, z: complex, gauge: float, deriv: bool):
+    def _batch(self, z: np.ndarray, deriv: bool):
         sol = self.sol
-        if deriv:
-            return f_and_derivative(sol, z, gauge)
-        if abs(z.imag - sol.h) <= 1e-12 * max(1.0, sol.h):
-            return math.sqrt(boundary_modulus(sol, z.real)) * math.exp(-gauge)
-        return np.exp(log_f(sol, z) - gauge)
+        w = halfplane_points(sol, z)
+        return w, herglotz_batch(w, sol.power, sol.settings, deriv)
+
+    def _derivs(self, z, gauge):
+        sol = self.sol
+        w, batch = self._batch(z, True)
+        val = np.exp(batch.value / (2.0j * math.pi) - gauge)
+        dlog = (math.pi / (2.0 * sol.h)) * w * batch.deriv / (2.0j * math.pi)
+        rows = np.stack([val, val * dlog], axis=1)
+        for k in np.flatnonzero(~batch.ok):
+            rows[k] = f_and_derivative(sol, z[k], gauge[k])
+        return rows
+
+    def _values(self, z, gauge):
+        sol = self.sol
+        top = np.abs(z.imag - sol.h) <= 1e-12 * max(1.0, sol.h)
+        rows = np.empty((z.size, 1), dtype=complex)
+        if top.any():
+            rows[top, 0] = np.sqrt(self._top_edge(z.real[top])) * \
+                np.exp(-gauge[top])
+        inner = ~top
+        if inner.any():
+            zi = z[inner]
+            _, batch = self._batch(zi, False)
+            logs = batch.value / (2.0j * math.pi)
+            for k in np.flatnonzero(~batch.ok):
+                logs[k] = log_f(sol, zi[k])
+            rows[inner, 0] = np.exp(logs - gauge[inner])
+        return rows
+
+    def _top_edge(self, x: np.ndarray) -> np.ndarray:
+        """Extrapolated |f|^2 on the top edge at every x, NaN where the
+        extrapolation does not converge; all 3 len(x) samples form one
+        batch."""
+        sol = self.sol
+        eps = [step * sol.h for step in EDGE_STEPS]
+        _, batch = self._batch(
+            np.concatenate([x + 1j * (sol.h - e) for e in eps]), False)
+        samples = np.exp(2.0 * (batch.value / (2.0j * math.pi)).real)
+        modulus, _, converged = extrapolate_to_edge(
+            eps, samples.reshape(len(eps), x.size))
+        for k in np.flatnonzero(~batch.ok.reshape(len(eps), x.size).all(0)):
+            modulus[k], info = boundary_modulus(sol, float(x[k]),
+                                                details=True)
+            converged[k] = info["converged"]
+        return np.where(converged, modulus, np.nan)
 
 
 def _index_one(label, region, variant, s1, traces=None, fsign=+1,

@@ -23,7 +23,8 @@ import numpy as np
 from . import catalog as cat
 from . import floer
 from .moment_figure import (emit_moment_figure, figure_svg, write_figure_csvs)
-from .verify import SWEEP_FAMILIES, patch_area, sweep_family, verify_quilt
+from .verify import (SWEEP_FAMILIES, json_text, patch_area, sweep_family,
+                     verify_quilt)
 
 
 class UsageError(ValueError):
@@ -109,9 +110,8 @@ def _apply_config(command: argparse.ArgumentParser, path: str) -> None:
 
 def _write_report(report_dict: dict, path: str | None) -> None:
     if path:
-        text = json.dumps(report_dict, indent=2, sort_keys=True)
         Path(path).parent.mkdir(parents=True, exist_ok=True)
-        Path(path).write_text(text + "\n")
+        Path(path).write_text(json_text(report_dict) + "\n")
 
 
 def cmd_catalog(args: argparse.Namespace) -> int:
@@ -149,7 +149,7 @@ def cmd_area(args: argparse.Namespace) -> int:
     payload = {"id": args.quilt, "areas": entries,
                "total": sum(e["value"] for e in entries)}
     _write_report(payload, args.report)
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(json_text(payload))
     return 0
 
 

@@ -258,7 +258,25 @@ class VerificationReport:
                 for k, v in asdict(self).items()}
 
     def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+        return json_text(self.to_dict(), indent)
+
+
+def _finite_or_null(value):
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    return value
+
+
+def json_text(payload, indent: int | None = 2) -> str:
+    """Standard JSON (RFC 8259) with sorted keys: a non-finite float, such
+    as the maximum of a profile without one finite sample, is written as
+    null, since the standard has no Infinity or NaN."""
+    return json.dumps(_finite_or_null(payload), indent=indent,
+                      sort_keys=True, allow_nan=False)
 
 
 def verify_quilt(quilt: cat.Quilt, *,

@@ -4,13 +4,15 @@ import math
 import numpy as np
 import pytest
 
+from quiltlab import analysis, catalog
 from quiltlab.analysis import (BlaschkeData, BoundaryEvaluationError,
                                DomainError, InvalidBlaschkeDataError,
-                               PoissonSolution, UndefinedPointError,
-                               UnreliableContourError, asymptotic_ratio,
-                               blaschke_eval, boundary_modulus,
-                               f_and_derivative, f_eval, g_eval,
-                               halfplane_to_strip, strip_to_halfplane,
+                               PoissonSolution, QuadratureSettings,
+                               UndefinedPointError, UnreliableContourError,
+                               _herglotz, asymptotic_ratio, blaschke_eval,
+                               boundary_modulus, f_and_derivative, f_eval,
+                               g_eval, halfplane_points, halfplane_to_strip,
+                               herglotz_batch, strip_to_halfplane,
                                winding_number)
 
 RNG = np.random.default_rng(3)
@@ -186,6 +188,95 @@ def test_seam_modulus_identity(sol_pi4):
         lhs = 2.0 * boundary_modulus(sol_pi4, float(x))
         rhs = 2.0 * math.exp(2 * x) + 2.0
         assert abs(lhs - rhs) / rhs <= 1e-8
+
+
+# ---------------------------------------------------------------------------
+# the batched Herglotz engine against the adaptive one
+
+STRIP_SETTINGS = QuadratureSettings(abs_tol=1e-8)
+# distances below the top edge, as fractions of h, where the strip traces
+# evaluate: the two outer extrapolation samples, the area's outermost y
+# node, an interior line and the bottom edge; derivatives are asked for on
+# the last three only
+DEPTHS = {1e-2: False, 1e-4: False, 0.0043: True, 0.5: True, 1.0: True}
+BATCH_HEIGHTS = (0.15, 0.5, 1.0, 1.4, math.pi / 2)
+
+
+def _batch_grid(h):
+    sol = PoissonSolution(h, +1, STRIP_SETTINGS)
+    cap = min(50.0, sol.x_cap)
+    for depth, deriv in DEPTHS.items():
+        z = np.linspace(-cap, cap, 21) + 1j * h * (1.0 - depth)
+        yield sol, z, halfplane_points(sol, z), deriv
+
+
+def _bound(w, value, abs_tol):
+    """What two engines that each meet max(abs_tol, 1e-12 |I|) may differ
+    by, plus the rounding of s = log|t| that both share near the pole: it
+    sits within eps |log|w|| of its rounded place, a fraction
+    eps |log|w|| / theta of its width, theta its angle from the half-line."""
+    theta = min(np.angle(w), math.pi - np.angle(w))
+    rounding = np.finfo(float).eps * abs(math.log(abs(w))) / theta
+    return 2.0 * max(abs_tol, 1e-12 * abs(value)) + rounding * abs(value)
+
+
+@pytest.mark.parametrize("h", BATCH_HEIGHTS)
+def test_batch_agrees_with_adaptive_engine(h):
+    for sol, z, w, deriv in _batch_grid(h):
+        batch = herglotz_batch(w, sol.power, sol.settings, deriv)
+        assert batch.ok.all()
+        for k, wk in enumerate(w):
+            I, Ip, _, _ = _herglotz(wk, sol.power, sol.settings, deriv)
+            assert abs(batch.value[k] - I) <= _bound(wk, I, 1e-8), z[k]
+            if deriv:
+                bound = 2.0 * max(100.0 * 1e-8 / abs(wk), 1e-12 * abs(Ip))
+                assert abs(batch.deriv[k] - Ip) <= bound, z[k]
+
+
+def test_batch_at_full_height_is_exp_plus_one():
+    # f = e^z + 1: I = 2 pi i log f and w I' = 2 pi i f'/f at h = pi/2
+    for sol, z, w, deriv in _batch_grid(math.pi / 2):
+        batch = herglotz_batch(w, sol.power, sol.settings, True)
+        exact = 2j * math.pi * np.log(np.exp(z) + 1.0)
+        for k, wk in enumerate(w):
+            bound = 0.5 * _bound(wk, exact[k], 1e-8)
+            assert abs(batch.value[k] - exact[k]) <= bound, z[k]
+        if deriv:
+            dexact = 2j * math.pi * np.exp(z) / (np.exp(z) + 1.0)
+            assert np.all(np.abs(w * batch.deriv - dexact) <=
+                          100.0 * 1e-8 + 1e-12 * np.abs(dexact))
+
+
+def test_batch_error_estimate_sees_a_coarse_layout(monkeypatch):
+    traces = catalog.StripTraces(0.5)
+    sol = traces.sol
+    z = np.array([0.3 + 0.2j, -2.0 + 0.45j, 4.0 + 0.497j])
+    gauge = np.maximum(z.real, 0.0)
+    x = np.array([-1.0, 2.5])
+    monkeypatch.setattr(analysis, "_BATCH_RATIO", 8.0)
+    batch = herglotz_batch(halfplane_points(sol, z), sol.power, sol.settings)
+    tol = np.maximum(sol.settings.abs_tol, 1e-12 * np.abs(batch.value))
+    assert np.all(batch.error[0] > tol) and not batch.ok.any()
+
+    # every point takes the adaptive fallback and returns its value exactly
+    calls = []
+    for name in ("log_f", "f_and_derivative", "boundary_modulus"):
+        def counted(*args, _fn=getattr(analysis, name), _name=name,
+                    **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(catalog, name, counted)
+    rows = traces(z, gauge, False)
+    assert np.array_equal(rows[:, 0], [np.exp(analysis.log_f(sol, zz) - g)
+                                       for zz, g in zip(z, gauge)])
+    rows = traces(z, gauge, True)
+    assert np.array_equal(rows, [analysis.f_and_derivative(sol, zz, g)
+                                 for zz, g in zip(z, gauge)])
+    top = traces(x + 1j * sol.h, np.zeros(2), False)
+    assert np.array_equal(top[:, 0], np.sqrt(
+        [analysis.boundary_modulus(sol, xx) for xx in x]))
+    assert calls == ["log_f"] * 3 + ["f_and_derivative"] * 3 + \
+        ["boundary_modulus"] * 2
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,26 @@ def test_verify_tamper_negative_control(capsys):
     assert code == 1
 
 
+def _standard_json(text):
+    def reject(constant):
+        raise ValueError(f"{constant} is not standard JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_non_finite_report_values_are_null(tmp_path, capsys):
+    # every boundary sample is NaN, so the profile has no finite maximum
+    report = tmp_path / "report.json"
+    code = main(["verify", "--quilt", "quilt.acw.plus", "--tamper",
+                 "boundarynan", "--report", str(report)])
+    assert code == 1
+    printed = _standard_json(capsys.readouterr().out)
+    written = _standard_json(report.read_text())
+    assert printed == written
+    assert written["boundaries"][0]["max"] is None
+    assert written["boundaries"][0]["at"] is None
+    assert written["boundaries"][0]["failures"] == 1000
+
+
 def test_verify_unknown_id_is_usage_error(capsys):
     assert main(["verify", "--quilt", "quilt.nonexistent"]) == 2
     assert main(["verify"]) == 2

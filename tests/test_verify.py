@@ -59,6 +59,32 @@ def test_maslov1_seam_profile_full_sampling(maslov1_pi4):
     assert res.failures == 0
 
 
+def test_unconverged_extrapolation_fails_the_seam(monkeypatch):
+    # Move the farthest extrapolation sample at one seam point by 2 %: the
+    # extrapolated modulus moves by less than the seam tolerance, but its
+    # Neville spread exceeds 1e-5 relative, so the point gives a NaN row,
+    # which the seam check counts as a failure.
+    quilt = catalog.make_maslov1_quilt(0.5, 0, +1, +1)
+    extrapolate = catalog.extrapolate_to_edge
+    moved = []
+
+    def perturbed(eps, samples):
+        original = extrapolate(eps, samples)[0][7]
+        samples = samples.copy()
+        samples[0, 7] *= 1.02
+        value, spread, converged = extrapolate(eps, samples)
+        moved.append(abs(value[7] / original - 1.0))
+        return value, spread, converged
+
+    monkeypatch.setattr(catalog, "extrapolate_to_edge", perturbed)
+    res = seam_residual_profile(quilt, samples=MASLOV1_PROFILE.samples)
+    assert res.failures == 1
+    assert 0.0 < moved[0] <= MASLOV1_PROFILE.seam_tol
+    report = verify_quilt(quilt)
+    assert report.seams[0]["failures"] == 1
+    assert not report.passed
+
+
 def test_maslov1_bottom_boundary_profile(maslov1_pi4):
     res = boundary_residual_profile(maslov1_pi4, 0, samples=120)
     assert res.max_residual <= 1e-8
@@ -168,29 +194,37 @@ def test_maslov1_report_passes(maslov1_pi4):
 
 @pytest.fixture(scope="module")
 def sweep_h08():
-    """sweep_family("all", [0.8]) and the x of every top-edge extrapolation
-    it asked the catalog for."""
-    calls = []
-    boundary_modulus = catalog.boundary_modulus
+    """sweep_family("all", [0.8]), the x of every top-edge extrapolation it
+    asked the strip traces for, and the calls of the adaptive fallbacks."""
+    edge_points = []
+    fallbacks = []
+    top_edge = catalog.StripTraces._top_edge
 
-    def counted(sol, x, details=False):
-        calls.append(x)
-        return boundary_modulus(sol, x, details)
+    def counted_edge(self, x):
+        edge_points.extend(x)
+        return top_edge(self, x)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(catalog, "boundary_modulus", counted)
+        mp.setattr(catalog.StripTraces, "_top_edge", counted_edge)
+        for name in ("log_f", "f_and_derivative", "boundary_modulus"):
+            def counted(*args, _fn=getattr(catalog, name), _name=name,
+                        **kwargs):
+                fallbacks.append(_name)
+                return _fn(*args, **kwargs)
+            mp.setattr(catalog, name, counted)
         result = sweep_family("all", [0.8], limit_checks=True)
-    return result, calls
+    return result, edge_points, fallbacks
 
 
 @pytest.mark.slow
 def test_sweep_single_height_all_components_pass(sweep_h08):
-    result, calls = sweep_h08
+    result, edge_points, fallbacks = sweep_h08
     assert len(result.reports[0.8]) == 12
     assert result.passed
-    # the eight index-one quilts share one top-edge trace: one
-    # extrapolation per seam sample
-    assert len(calls) == MASLOV1_PROFILE.samples == 160
+    # the eight index-one quilts share one top-edge trace: one batched
+    # extrapolation per seam sample, and no point needs the adaptive engine
+    assert len(edge_points) == MASLOV1_PROFILE.samples == 160
+    assert fallbacks == []
     diag = result.diagnostics
     assert diag["const"]["h_to_0_rescale_max"] <= 1e-12
     assert diag["const"]["h_to_pi2_sup_distance"] <= 1e-2
@@ -200,7 +234,7 @@ def test_sweep_single_height_all_components_pass(sweep_h08):
 
 @pytest.mark.slow
 def test_sweep_reports_equal_verify_of_their_ids(sweep_h08):
-    result, _ = sweep_h08
+    result, _, _ = sweep_h08
     reports = {r.label: r for r in result.reports[0.8]}
     for label in ("quilt.const.h0.8.pm", "quilt.maslov1.h0.8.v1.m.fplus"):
         assert reports[label].to_dict() == \
