@@ -26,6 +26,10 @@ quadrature-backed last coordinate.  That coordinate is the sign times one
 values memoized; ``sector_family`` shares one of them among the eight
 index-one quilts at a height, so each trace is computed once.  Catalog ids
 follow one grammar, the ``_IDS`` table, which ``resolve`` parses.
+
+A map carries no Floer data: ``floer.endpoints`` reads a strip's endpoints
+off its bottom edge, and both differentials and the sweep's limit strips
+follow from them.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from __future__ import annotations
 import enum
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -128,9 +132,6 @@ class AnalyticMap:
     evaluate: Callable
     regime: Regime
     x_cap: float = math.inf         # largest |Re z| the evaluator represents
-    endpoints: tuple[str, str] | None = None
-    boundary_tags: tuple = (None, None)
-    limit_labels: dict = field(default_factory=dict)
 
     def _points(self, z, gauge):
         z = np.atleast_1d(np.asarray(z, dtype=complex))
@@ -152,8 +153,7 @@ class AnalyticMap:
         return self.values(np.atleast_1d(np.asarray(x, dtype=float)) + 1j * y)
 
 
-def _moebius_slot(label, region, slot, signs, scale=1.0,
-                  **fields) -> AnalyticMap:
+def _moebius_slot(label, region, slot, signs, scale=1.0) -> AnalyticMap:
     """signs[k] times 1 in every coordinate k but ``slot``, which carries
     the Moebius coordinate of scale * z."""
     def evaluate(z, gauge, deriv):
@@ -169,7 +169,7 @@ def _moebius_slot(label, region, slot, signs, scale=1.0,
                                for k, s in enumerate(signs)], axis=1)
 
     return AnalyticMap(label=label, region=region, target_dim=len(signs) - 1,
-                       evaluate=evaluate, regime=Regime.EXPONENTIAL, **fields)
+                       evaluate=evaluate, regime=Regime.EXPONENTIAL)
 
 
 def _constant(label, region, signs) -> AnalyticMap:
@@ -275,8 +275,8 @@ class StripTraces:
         return np.where(converged, modulus, np.nan)
 
 
-def _index_one(label, region, variant, s1, traces=None, fsign=+1,
-               **fields) -> AnalyticMap:
+def _index_one(label, region, variant, s1, traces=None,
+               fsign=+1) -> AnalyticMap:
     """(e^z + 1, s1 (e^z - 1)) for variant 0 or (e^z - 1, s1 (e^z + 1)) for
     variant 1, with fsign times the strip solution of ``traces`` as a
     quadrature-backed last coordinate when given."""
@@ -296,11 +296,10 @@ def _index_one(label, region, variant, s1, traces=None, fsign=+1,
 
     if traces is None:
         return AnalyticMap(label=label, region=region, target_dim=1,
-                           evaluate=evaluate, regime=Regime.EXPONENTIAL,
-                           **fields)
+                           evaluate=evaluate, regime=Regime.EXPONENTIAL)
     return AnalyticMap(label=label, region=region, target_dim=2,
                        evaluate=evaluate, regime=Regime.QUADRATURE,
-                       x_cap=traces.sol.x_cap, **fields)
+                       x_cap=traces.sol.x_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +310,6 @@ class Seam:
     cp1_patch: int
     cp2_patch: int
     y: float
-    correspondence: str = "lambda_s1"
 
 
 @dataclass(frozen=True)
@@ -369,29 +367,12 @@ def _seamed(label: str, family: str, u2: AnalyticMap, u1: AnalyticMap,
 # ---------------------------------------------------------------------------
 # rigid strips
 
-def _gen(s1: int, s2: int) -> str:
-    return f"p{'+' if s1 > 0 else '-'}{'+' if s2 > 0 else '-'}"
-
-
-# source generator of the strip with the Moebius coordinate in slot i: the
-# signs it flips relative to the target generator
-_SOURCE_FLIPS = ((-1, -1), (-1, +1), (+1, -1))
-
-_RIGID = {2: ("floer.cp2.u", LagrangianId.RP2, LagrangianId.T2_CLIFFORD),
-          1: ("floer.cp1.v", LagrangianId.GAMMA_IMAGE,
-              LagrangianId.S1_CLIFFORD)}
-
-
 def _rigid_strip(dim: int, i: int, s1: int, s2: int) -> AnalyticMap:
     if i not in range(dim + 1) or s1 not in (+1, -1) or s2 not in (+1, -1):
         raise ValueError(f"need i in 0..{dim} and signs in {{+1,-1}}")
-    stem, bottom, top = _RIGID[dim]
-    f1, f2 = _SOURCE_FLIPS[i]
-    return _moebius_slot(
-        f"{stem}{i}.{_SIG[s1]}{_SIG[s2]}", strip(0.0, HALF_PI), i,
-        (1, s1, s2)[:dim + 1], endpoints=(_gen(f1 * s1, f2 * s2),
-                                          _gen(s1, s2)),
-        boundary_tags=(bottom, top))
+    stem = "floer.cp2.u" if dim == 2 else "floer.cp1.v"
+    return _moebius_slot(f"{stem}{i}.{_SIG[s1]}{_SIG[s2]}",
+                         strip(0.0, HALF_PI), i, (1, s1, s2)[:dim + 1])
 
 
 def make_floer_strip_cp2(i: int, s1: int, s2: int) -> AnalyticMap:
@@ -401,10 +382,11 @@ def make_floer_strip_cp2(i: int, s1: int, s2: int) -> AnalyticMap:
 
 
 def make_floer_strip_cp1(i: int, s1: int, s2: int) -> AnalyticMap:
-    """The eight index-one strips into CP^1.  The second sign tracks the
-    sheet of the double cover along the bottom boundary lift: continuing the
-    real lift across the strip flips both signs for the i = 0 family and the
-    first sign only for i = 1."""
+    """The eight index-one strips into CP^1 on 0 <= Im z <= pi/2, with the
+    moving Moebius coordinate in slot i.  The map depends on s1 alone: s2
+    names the sheet of the double cover 2 C^2 = A^2 + B^2 on which the
+    bottom boundary lift (A, B, C) ends, the sign of C at the target
+    [1 : s1 : s2]."""
     return _rigid_strip(1, i, s1, s2)
 
 
@@ -428,8 +410,7 @@ def make_const_projection_quilt(h: float, s1: int, s2: int) -> Quilt:
     _check_height(h)
     u2 = _moebius_slot(
         f"const.u2.{_SIG[s1]}{_SIG[s2]}", strip(0.0, h), 2, (1, s1, s2),
-        scale=math.pi / (2.0 * h),
-        limit_labels={"h_to_pi2": f"floer.cp2.u2.{_SIG[s1]}{_SIG[s2]}"})
+        scale=math.pi / (2.0 * h))
     u1 = _constant(f"const.u1.{_SIG[s1]}", strip(h, HALF_PI), (1, s1))
     return _seamed(f"quilt.const.h{_h_tag(h)}.{_SIG[s1]}{_SIG[s2]}",
                    "const", u2, u1, LagrangianId.RP2, h)
@@ -449,13 +430,9 @@ def _maslov1(traces: StripTraces, variant: int, s1: int,
     h = traces.sol.h
     u2 = _index_one(
         f"maslov1.u2.v{variant}.{_SIG[s1]}.f{_SIG[fsign]}", strip(0.0, h),
-        variant, s1, traces, fsign, limit_labels={"h_to_pi2": (
-            f"floer.cp2.u{1 - variant}.{_SIG[s1]}{_SIG[fsign]}")})
-    # The CP^1 patch formulas carry no sheet data; the h -> 0 comparison
-    # strips are taken on the + sheet (the chordal distance cannot see it).
-    u1 = _index_one(
-        f"maslov1.u1.v{variant}.{_SIG[s1]}", strip(h, HALF_PI), variant, s1,
-        limit_labels={"h_to_0": f"floer.cp1.v{1 - variant}.{_SIG[s1]}p"})
+        variant, s1, traces, fsign)
+    u1 = _index_one(f"maslov1.u1.v{variant}.{_SIG[s1]}", strip(h, HALF_PI),
+                    variant, s1)
     return _seamed(f"quilt.maslov1.h{_h_tag(h)}.v{variant}.{_SIG[s1]}"
                    f".f{_PM[fsign]}", "maslov1", u2, u1, LagrangianId.RP2, h)
 
@@ -507,10 +484,8 @@ def with_blaschke(quilt: Quilt, data: BlaschkeData) -> Quilt:
         rows[:, 2] = rows[:, 2] * b
         return (rows, ders) if deriv else rows
 
-    twisted = AnalyticMap(
-        label=base.label + ".blaschke", region=base.region,
-        target_dim=base.target_dim, evaluate=evaluate, regime=base.regime,
-        x_cap=base.x_cap)
+    twisted = replace(base, label=base.label + ".blaschke",
+                      evaluate=evaluate)
 
     return Quilt(
         label=quilt.label + ".blaschke" +

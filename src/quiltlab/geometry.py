@@ -209,13 +209,9 @@ def _real_up_to_phase_residual(rows: np.ndarray) -> np.ndarray:
 
 
 def _clifford_residual(rows: np.ndarray) -> np.ndarray:
+    # the largest gap between two coordinate moduli squared
     sq = np.abs(rows) ** 2
-    k = rows.shape[1]
-    gap = np.zeros(rows.shape[0])
-    for j in range(k):
-        for l in range(j + 1, k):
-            gap = np.maximum(gap, np.abs(sq[:, j] - sq[:, l]))
-    return gap
+    return np.max(sq, axis=1) - np.min(sq, axis=1)
 
 
 def _l_ac_residual(rows: np.ndarray) -> np.ndarray:
@@ -254,13 +250,9 @@ def lagrangian_residual_rows(lid: LagrangianId, rows: np.ndarray) -> np.ndarray:
 def correspondence_residual_parts(p1, p2) -> tuple[float, float | None]:
     """(level residual, projection residual) for ((p1, p2) in the reduction
     correspondence); projection is None when p2 = [0:0:1]."""
-    r1 = _unit_rows(np.asarray(
-        p1.as_array() if isinstance(p1, ProjectivePoint) else p1,
-        dtype=complex).reshape(1, -1))
-    r2 = _unit_rows(np.asarray(
-        p2.as_array() if isinstance(p2, ProjectivePoint) else p2,
-        dtype=complex).reshape(1, -1))
-    level, proj, defined = correspondence_residual_rows(r1, r2)
+    level, proj, defined = correspondence_residual_rows(*(
+        np.asarray(p.as_array() if isinstance(p, ProjectivePoint) else p,
+                   dtype=complex).reshape(1, -1) for p in (p1, p2)))
     return float(level[0]), (float(proj[0]) if defined[0] else None)
 
 

@@ -13,7 +13,6 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -31,13 +30,12 @@ ELLIPSE_COEFFS = (100, 16, 16, 20, 8, 1)
 
 
 def ellipse_residual(x, y):
+    """The ellipse polynomial, exact on Fractions."""
     a, b, c, d, e, f = ELLIPSE_COEFFS
     return a * x * x + b * x * y + c * y * y + d * x + e * y + f
 
 
-def ellipse_residual_exact(x: Fraction, y: Fraction) -> Fraction:
-    a, b, c, d, e, f = ELLIPSE_COEFFS
-    return a * x * x + b * x * y + c * y * y + d * x + e * y + f
+ellipse_residual_exact = ellipse_residual
 
 
 def lac_line_residual(x, y):
@@ -187,27 +185,24 @@ def figure_svg(fig: FigureData) -> str:
     def pt(x, y):
         return (pad + (x - xmin) * sx, height - pad - (y - ymin) * sy)
 
-    def poly(rows, color, swidth="1.5", closed=False):
-        coords = " ".join(f"{px:.2f},{py:.2f}" for px, py in
-                          (pt(r[0], r[1]) for r in rows))
-        tag = "polygon" if closed else "polyline"
-        return (f'<{tag} points="{coords}" fill="none" stroke="{color}" '
-                f'stroke-width="{swidth}"/>')
+    def coords(rows):
+        return " ".join(f"{px:.2f},{py:.2f}" for px, py in
+                        (pt(r[0], r[1]) for r in rows))
 
-    tri = " ".join(f"{px:.2f},{py:.2f}" for px, py in
-                   (pt(x, y) for x, y in fig.triangle))
+    def poly(rows, color, swidth):
+        return (f'<polyline points="{coords(rows)}" fill="none" '
+                f'stroke="{color}" stroke-width="{swidth}"/>')
+
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
         f'height="{height}" viewBox="0 0 {width} {height}">',
         '<rect width="100%" height="100%" fill="white"/>',
-        f'<polygon points="{tri}" fill="#d8ecf7" stroke="#7fb2d6" '
-        'stroke-width="1.5"/>',
+        f'<polygon points="{coords(fig.triangle)}" fill="#d8ecf7" '
+        'stroke="#7fb2d6" stroke-width="1.5"/>',
     ]
     shade = np.vstack([fig.u2_bottom_edge[::-1, :2], fig.u2_right_edge[:, :2],
                        fig.u2_top_edge[:, :2]])
-    coords = " ".join(f"{px:.2f},{py:.2f}" for px, py in
-                      (pt(x, y) for x, y in shade))
-    parts.append(f'<polygon points="{coords}" fill="#c9c9c9" '
+    parts.append(f'<polygon points="{coords(shade)}" fill="#c9c9c9" '
                  'fill-opacity="0.65" stroke="none"/>')
     parts.append(poly(fig.lambda_segment, "#2c62c9", "2.5"))
     parts.append(poly(fig.lac_segment, "#c93030", "2.5"))

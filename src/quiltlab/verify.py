@@ -8,8 +8,9 @@ and over a truncated interval (with an explicit exponential tail bound) for
 Moebius/exponential maps; the outer y-integral is adaptive on strips and
 tangent-compactified on half-planes.  Every tolerance is a property of
 the quilt: ``default_profile`` and the area rule follow from the regimes of
-its patches, so a report is a deterministic function of the quilt and the
-sample count.
+its patches, so a report is a deterministic function of the quilt alone.
+The sweep's interval-end limit of a component is the rigid strip with the
+endpoints of its CP^2 patch (``limit_strip``).
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import catalog as cat
+from . import floer
 from .geometry import (_fs_distance_rows, _unit_rows,
                        correspondence_residual_rows, homogeneous_density,
                        lagrangian_residual_rows)
@@ -64,10 +66,19 @@ class ProfileResult:
     failures: int = 0
 
 
-def _safe_x_range(quilt: cat.Quilt, x_range):
-    """Clip the sample range to what every patch evaluator represents."""
+def _sample_x(quilt: cat.Quilt, x_range, samples: int) -> np.ndarray:
+    """Equispaced samples of the range, clipped to what every patch
+    evaluator represents."""
     cap = min(m.x_cap for m in quilt.patches)
-    return max(x_range[0], -cap), min(x_range[1], cap)
+    return np.linspace(max(x_range[0], -cap), min(x_range[1], cap), samples)
+
+
+def _worst(x: np.ndarray, residual: np.ndarray,
+           failures: int) -> ProfileResult:
+    if residual.size == 0:
+        return ProfileResult(math.inf, math.nan, failures)
+    k = int(np.argmax(residual))
+    return ProfileResult(float(residual[k]), float(x[k]), failures)
 
 
 def seam_residual_profile(quilt: cat.Quilt, seam_index: int = 0, *,
@@ -77,20 +88,15 @@ def seam_residual_profile(quilt: cat.Quilt, seam_index: int = 0, *,
     """Max over equispaced seam samples of the correspondence residual
     between the two patch traces."""
     seam = quilt.seams[seam_index]
-    lo, hi = _safe_x_range(quilt, x_range)
-    x = np.linspace(lo, hi, samples)
+    x = _sample_x(quilt, x_range, samples)
     rows2 = quilt.patches[seam.cp2_patch].seam_rows(x, seam.y)
     rows1 = quilt.patches[seam.cp1_patch].values(x + 1j * (seam.y + offset))
     good = np.all(np.isfinite(rows2), axis=1) & \
         np.all(np.isfinite(rows1), axis=1)
-    failures = int(np.sum(~good))
     level, proj, defined = correspondence_residual_rows(rows1[good],
                                                         rows2[good])
     residual = np.where(defined, np.maximum(level, proj), level)
-    if residual.size == 0:
-        return ProfileResult(math.inf, math.nan, failures)
-    k = int(np.argmax(residual))
-    return ProfileResult(float(residual[k]), float(x[good][k]), failures)
+    return _worst(x[good], residual, int(np.sum(~good)))
 
 
 def boundary_residual_profile(quilt: cat.Quilt, boundary_index: int, *,
@@ -98,17 +104,11 @@ def boundary_residual_profile(quilt: cat.Quilt, boundary_index: int, *,
                               x_range: tuple[float, float] = X_RANGE,
                               offset: float = 0.0) -> ProfileResult:
     edge = quilt.boundaries[boundary_index]
-    patch = quilt.patches[edge.patch]
-    lo, hi = _safe_x_range(quilt, x_range)
-    x = np.linspace(lo, hi, samples)
-    rows = patch.values(x + 1j * (edge.y + offset))
+    x = _sample_x(quilt, x_range, samples)
+    rows = quilt.patches[edge.patch].values(x + 1j * (edge.y + offset))
     good = np.all(np.isfinite(rows), axis=1)
-    failures = int(np.sum(~good))
     residual = lagrangian_residual_rows(edge.lagrangian, rows[good])
-    if residual.size == 0:
-        return ProfileResult(math.inf, math.nan, failures)
-    k = int(np.argmax(residual))
-    return ProfileResult(float(residual[k]), float(x[good][k]), failures)
+    return _worst(x[good], residual, int(np.sum(~good)))
 
 
 # ---------------------------------------------------------------------------
@@ -349,11 +349,9 @@ class SweepResult:
         }
 
 
-def _sup_fs_distance(map_a: cat.AnalyticMap, map_b: cat.AnalyticMap,
-                     zs: np.ndarray) -> float:
-    rows_a = _unit_rows(map_a.values(zs))
-    rows_b = _unit_rows(map_b.values(zs))
-    return float(np.max(_fs_distance_rows(rows_a, rows_b)))
+def _sup_fs_distance(rows_a: np.ndarray, rows_b: np.ndarray) -> float:
+    return float(np.max(_fs_distance_rows(_unit_rows(rows_a),
+                                          _unit_rows(rows_b))))
 
 
 def _limit_grid(h: float, radius: float = 2.0) -> np.ndarray:
@@ -390,17 +388,22 @@ def sweep_family(family: str, h_grid, *,
     return SweepResult(reports=reports, diagnostics=diagnostics)
 
 
-def _limit_sup(family: str, h: float, patch: int, limit: str,
+def limit_strip(quilt: cat.Quilt, complex_: floer.FloerComplex) -> str:
+    """The id of the one strip of ``complex_`` with the endpoints of the
+    quilt's CP^2 patch: its limit at h -> pi/2 (CP^2) or h -> 0 (CP^1)."""
+    (label,) = complex_.provenance[floer.endpoints(quilt.patches[0])]
+    return label
+
+
+def _limit_sup(family: str, h: float, patch: int, side: str,
                zs: np.ndarray) -> float:
     """Largest distance on zs from the given patch of each component of a
-    family at height h to the limit map it names."""
-    sup = 0.0
-    for q in cat.sector_family(h):
-        if q.family == family:
-            m = q.patches[patch]
-            target = cat.resolve(m.limit_labels[limit])
-            sup = max(sup, _sup_fs_distance(m, target, zs))
-    return sup
+    family at height h to its limit strip on ``side``."""
+    complex_ = floer.build_complex(side)
+    return max(_sup_fs_distance(
+        q.patches[patch].values(zs),
+        cat.resolve(limit_strip(q, complex_)).values(zs))
+        for q in cat.sector_family(h) if q.family == family)
 
 
 def _const_limit_diagnostics() -> dict:
@@ -408,18 +411,14 @@ def _const_limit_diagnostics() -> dict:
     # sheet-switching bubble identically.
     h = 1e-3
     ws = _limit_grid(HALF_PI, radius=10.0)
-    worst = 0.0
-    for s1 in (+1, -1):
-        for s2 in (+1, -1):
-            u2 = cat.make_const_projection_quilt(h, s1, s2).patches[0]
-            v2 = cat.make_eight_bubble_sheet_switch(s1, s2).patches[0]
-            rows_a = _unit_rows(u2.values((2.0 * h / math.pi) * ws))
-            rows_b = _unit_rows(v2.values(ws))
-            worst = max(worst, float(np.max(
-                _fs_distance_rows(rows_a, rows_b))))
+    worst = max(_sup_fs_distance(
+        cat.make_const_projection_quilt(h, s1, s2).patches[0].values(
+            (2.0 * h / math.pi) * ws),
+        cat.make_eight_bubble_sheet_switch(s1, s2).patches[0].values(ws))
+        for s1 in (+1, -1) for s2 in (+1, -1))
     h2 = HALF_PI - 1e-3
     return {"h_to_0_rescale_max": worst, "h_to_pi2_sup_distance":
-            _limit_sup("const", h2, 0, "h_to_pi2", _limit_grid(h2))}
+            _limit_sup("const", h2, 0, "cp2", _limit_grid(h2))}
 
 
 def _maslov1_limit_diagnostics() -> dict:
@@ -428,6 +427,6 @@ def _maslov1_limit_diagnostics() -> dict:
     # eight CP^2 patches at h -> pi/2 share one strip solution.
     h, h2 = 0.3, HALF_PI - 1e-3
     return {"h_to_0_identity_max": _limit_sup(
-                "maslov1", h, 1, "h_to_0", _limit_grid(HALF_PI - h) + 1j * h),
+                "maslov1", h, 1, "cp1", _limit_grid(HALF_PI - h) + 1j * h),
             "h_to_pi2_sup_distance": _limit_sup(
-                "maslov1", h2, 0, "h_to_pi2", _limit_grid(h2))}
+                "maslov1", h2, 0, "cp2", _limit_grid(h2))}

@@ -4,20 +4,24 @@ import numpy as np
 import pytest
 
 from quiltlab.analysis import BlaschkeData
-from quiltlab.catalog import (AnalyticMap, BoundaryEdge, Quilt,
+from quiltlab.catalog import (SIGNS, AnalyticMap, BoundaryEdge, Quilt,
                               Seam, all_floer_strips, catalog_ids,
                               make_acw_quilt, make_const_projection_quilt,
                               make_eight_bubble_sheet_switch,
                               make_floer_strip_cp1, make_floer_strip_cp2,
                               make_maslov1_quilt, mobius_tanh, resolve,
                               sector_family, with_blaschke)
+from quiltlab.floer import build_complex, endpoints
 from quiltlab.geometry import (LagrangianId, _fs_distance_rows, _unit_rows,
                                fs_distance, lagrangian_residual_rows,
                                normalize)
 from quiltlab.verify import (boundary_residual_profile, cr_residual_profile,
-                             patch_area, seam_residual_profile)
+                             limit_strip, patch_area, seam_residual_profile)
 
 HALF_PI = math.pi / 2.0
+# the (bottom, top) boundary Lagrangians of the rigid strips into CP^n
+RIGID_BOUNDARIES = {2: (LagrangianId.RP2, LagrangianId.T2_CLIFFORD),
+                    1: (LagrangianId.GAMMA_IMAGE, LagrangianId.S1_CLIFFORD)}
 
 
 def _generator_point(label):
@@ -44,7 +48,7 @@ def test_cp1_strip_value_on_top_edge():
 @pytest.mark.parametrize("strip", all_floer_strips(),
                          ids=lambda m: m.label)
 def test_strip_endpoints_match_limits(strip):
-    src, dst = strip.endpoints
+    src, dst = endpoints(strip, SIGNS[strip.label[-1]])
     for x, label in ((-40.0, src), (40.0, dst)):
         limit = strip.point(complex(x, 0.7))
         target = _generator_point(label)
@@ -56,7 +60,7 @@ def test_strip_endpoints_match_limits(strip):
 @pytest.mark.parametrize("strip", all_floer_strips(),
                          ids=lambda m: m.label)
 def test_strip_boundary_conditions(strip):
-    bottom_tag, top_tag = strip.boundary_tags
+    bottom_tag, top_tag = RIGID_BOUNDARIES[strip.target_dim]
     x = np.linspace(-50, 50, 1000)
     res = lagrangian_residual_rows(bottom_tag, strip.values(x + 0j))
     assert np.max(res) <= 1e-12
@@ -153,9 +157,11 @@ def test_maslov1_converges_to_unquilted_strips_near_full_height():
     zs = (xs[:, None] + 1j * ys[None, :]).ravel()
     zs = zs[np.abs(zs) <= 2.0]
     worst = 0.0
+    cp2 = build_complex("cp2")
     for variant, fsign in ((0, +1), (1, -1)):
-        u2 = make_maslov1_quilt(h, variant, +1, fsign).patches[0]
-        target = resolve(u2.limit_labels["h_to_pi2"])
+        q = make_maslov1_quilt(h, variant, +1, fsign)
+        u2 = q.patches[0]
+        target = resolve(limit_strip(q, cp2))
         a = _unit_rows(u2.values(zs))
         b = _unit_rows(target.values(zs))
         worst = max(worst, float(np.max(_fs_distance_rows(a, b))))
@@ -165,7 +171,7 @@ def test_maslov1_converges_to_unquilted_strips_near_full_height():
 def test_maslov1_cp1_patch_is_rigid_strip_formula():
     q = make_maslov1_quilt(0.4, 0, +1, +1)
     u1 = q.patches[1]
-    target = resolve(u1.limit_labels["h_to_0"])
+    target = resolve(limit_strip(q, build_complex("cp1")))
     zs = np.linspace(-5, 5, 21) + 1j * 0.8
     a = _unit_rows(u1.values(zs))
     b = _unit_rows(target.values(zs))

@@ -1,82 +1,30 @@
-"""Chain-group combinatorics, with the strip endpoints re-derived by an
-independent oracle: numerical limits for the CP^2 side, and continuation of
-the real boundary lift through the double cover for the CP^1 side."""
+"""Chain-group combinatorics, with every arrow derived from a map by
+``floer.endpoints``: bottom-edge limits for the CP^2 side, and continuation
+of the real boundary lift through the double cover for the CP^1 side."""
 
+import dataclasses
 import itertools
-import math
 
 import numpy as np
 import pytest
 
-from quiltlab.catalog import make_floer_strip_cp1, make_floer_strip_cp2
-from quiltlab.floer import (GENERATORS, FloerSide, build_complex,
-                            differential_square, format_matrix,
-                            format_provenance, homology_dimension,
-                            strip_count)
+from quiltlab import floer
+from quiltlab.catalog import (HALF_PI, _constant,
+                              make_eight_bubble_sheet_switch,
+                              make_floer_strip_cp1, make_floer_strip_cp2,
+                              sector_family, strip)
+from quiltlab.cli import main
+from quiltlab.floer import (GENERATORS, EndpointError, FloerSide,
+                            build_complex, differential_square, endpoints,
+                            format_matrix, format_provenance,
+                            homology_dimension, strip_count)
 from quiltlab.geometry import fs_distance, normalize
 
 
-# ---------------------------------------------------------------------------
-# independent endpoint oracle
-
-def _real_representative(row):
-    """Rotate a projectively-real vector to a real one (phase from the
-    largest entry)."""
-    j = int(np.argmax(np.abs(row)))
-    phase = row[j] / abs(row[j])
-    real = (row / phase).real
-    return real / np.linalg.norm(real)
-
-
-def _cp1_lift_endpoints(strip_map, start_sign):
-    """Continue the boundary lift of a CP^1 strip through the double cover
-    2 C^2 = A^2 + B^2 along the bottom edge and report the limit generators.
-
-    The lift state is a unit vector (A, B, C); at each step the sign
-    ambiguity (whole vector and cover sheet) is resolved by maximal overlap
-    with the previous state.
-    """
-    xs = np.linspace(-40.0, 40.0, 1601)
-    rows = strip_map.values(xs + 0j)
-    state = None
-    for k, row in enumerate(rows):
-        ab = _real_representative(row)
-        c = math.sqrt((ab[0] ** 2 + ab[1] ** 2) / 2.0)
-        candidates = [np.array([sa * ab[0], sa * ab[1], sc * c])
-                      for sa in (+1, -1) for sc in (+1, -1)]
-        candidates = [v / np.linalg.norm(v) for v in candidates]
-        if state is None:
-            want = np.array([ab[0], ab[1], start_sign * c])
-            want /= np.linalg.norm(want)
-            state = want
-            first = state.copy()
-            continue
-        state = max(candidates, key=lambda v: float(np.dot(v, state)))
-    return first, state
-
-
-def _match_generator(vec3):
-    point = normalize(vec3.astype(complex))
-    for label in GENERATORS:
-        s1 = +1 if label[1] == "+" else -1
-        s2 = +1 if label[2] == "+" else -1
-        if fs_distance(point, normalize([1.0, s1, s2])) <= 1e-10:
-            return label
-    raise AssertionError(f"no generator matches {vec3}")
-
-
-def oracle_cp1_arrows():
-    """All eight (source, target) pairs from the four CP^1 strip formulas,
-    one per boundary lift."""
-    arrows = {}
-    for i in (0, 1):
-        for s1 in (+1, -1):
-            strip = make_floer_strip_cp1(i, s1, +1)
-            for lift_sign in (+1, -1):
-                src_vec, dst_vec = _cp1_lift_endpoints(strip, lift_sign)
-                src, dst = _match_generator(src_vec), _match_generator(dst_vec)
-                arrows.setdefault((i, s1), []).append((src, dst))
-    return arrows
+def _generator_point(label):
+    s1 = +1 if label[1] == "+" else -1
+    s2 = +1 if label[2] == "+" else -1
+    return normalize([1.0, s1, s2])
 
 
 # ---------------------------------------------------------------------------
@@ -157,9 +105,19 @@ def test_strip_count_rejects_unknown_labels():
 
 def test_cp1_homology_vanishes():
     cx = build_complex("cp1")
-    m = cx.matrix()
     # rank 2 over Z/2, so ker = im and the homology is zero-dimensional
     assert homology_dimension(cx) == 0
+
+
+def test_homology_needs_a_differential_that_squares_to_zero():
+    # d_CP2 squares to the identity: 4 - 2 rank d would read -4
+    with pytest.raises(ValueError, match="square to zero"):
+        homology_dimension(build_complex("cp2"))
+
+
+def test_column_rejects_unknown_generators():
+    with pytest.raises(KeyError):
+        build_complex("cp1").column("p00")
 
 
 def test_formatters_render():
@@ -170,41 +128,107 @@ def test_formatters_render():
 
 
 # ---------------------------------------------------------------------------
-# endpoint consistency against the numerics
+# endpoints derived from the maps
 
 def test_cp2_endpoints_match_numerical_limits():
     for i in (0, 1, 2):
         for s1 in (+1, -1):
             for s2 in (+1, -1):
-                strip = make_floer_strip_cp2(i, s1, s2)
-                src, dst = strip.endpoints
+                strip_map = make_floer_strip_cp2(i, s1, s2)
+                src, dst = endpoints(strip_map)
                 for x, label in ((-40.0, src), (40.0, dst)):
-                    s1g = +1 if label[1] == "+" else -1
-                    s2g = +1 if label[2] == "+" else -1
-                    assert fs_distance(strip.point(complex(x, 0.3)),
-                                       normalize([1, s1g, s2g])) <= 1e-10
+                    assert fs_distance(strip_map.point(complex(x, 0.3)),
+                                       _generator_point(label)) <= 1e-10
 
 
 def test_cp1_arrows_match_cover_continuation_oracle():
-    # The oracle continues the real lift through the connected double cover;
-    # the sheet-switching family flips both subscript signs, the
-    # moving-coordinate family flips the first only.
-    arrows = oracle_cp1_arrows()
+    # The lift of one CP^1 formula ends on the sheet its id names, and the
+    # continuation does not see the representative of each boundary point:
+    # rows scaled by random complex numbers, signs included, give the same
+    # arrows, also with B made the larger coordinate at both ends by 1e-12,
+    # so that the largest entry fixes a representative with A < 0 there.
+    rng = np.random.default_rng(8)
     for i in (0, 1):
         for s1 in (+1, -1):
-            found = set(arrows[(i, s1)])
-            expected = set()
+            base = make_floer_strip_cp1(i, s1, +1)
+
+            def scaled(z, gauge, deriv, _base=base):
+                scale = rng.uniform(0.5, 2.0, z.size) * \
+                    np.exp(2j * np.pi * rng.uniform(size=z.size))
+                return _base.evaluate(z, gauge, deriv) * scale[:, None] * \
+                    np.array([1.0, 1.0 + 1e-12])
+
+            rescaled = dataclasses.replace(base, evaluate=scaled)
+            arrows = set()
             for s2 in (+1, -1):
-                strip = make_floer_strip_cp1(i, s1, s2)
-                expected.add(strip.endpoints)
-            assert found == expected
+                src, dst = endpoints(make_floer_strip_cp1(i, s1, s2), s2)
+                assert dst == f"p{'+-'[s1 < 0]}{'+-'[s2 < 0]}"
+                assert endpoints(rescaled, s2) == (src, dst)
+                arrows.add((src, dst))
+            assert len(arrows) == 2
 
 
 def test_cp1_differential_columns_frozen_from_oracle():
-    # transcribed once from oracle_cp1_arrows(): both signs flip via the
+    # transcribed once from the cover continuation: both signs flip via the
     # sheet-switching strips, the first sign flips via the moving family
     cx = build_complex("cp1")
     assert cx.column("p++") == {"p++": 0, "p+-": 0, "p-+": 1, "p--": 1}
     assert cx.column("p+-") == {"p++": 0, "p+-": 0, "p-+": 1, "p--": 1}
     assert cx.column("p-+") == {"p++": 1, "p+-": 1, "p-+": 0, "p--": 0}
     assert cx.column("p--") == {"p++": 1, "p+-": 1, "p-+": 0, "p--": 0}
+
+
+def test_an_end_off_the_generators_raises():
+    region = strip(0.0, HALF_PI)
+    # 1e-12 off the generator p++ is within the 1e-10 tolerance, 1e-8 is not
+    assert endpoints(_constant("near", region, (1, 1, 1 + 1e-12))) == \
+        ("p++", "p++")
+    for signs in ((1, 1, 1 + 1e-8), (1, 0.5, 1), (1, 0.5)):
+        with pytest.raises(EndpointError):
+            endpoints(_constant("off", region, signs))
+
+
+def test_a_flipped_sign_moves_a_derived_column(monkeypatch, capsys):
+    # the map of floer.cp2.u0.pp (p-- -> p++) with its second coordinate
+    # negated runs p+- -> p-+: the arrow follows the map, not the id
+    strips = floer.all_floer_strips()
+    k = next(k for k, m in enumerate(strips) if m.label == "floer.cp2.u0.pp")
+    base = strips[k]
+
+    def flipped(z, gauge, deriv):
+        return base.evaluate(z, gauge, deriv) * np.array([1, -1, 1])
+
+    strips[k] = dataclasses.replace(base, evaluate=flipped)
+    before = build_complex("cp2")
+    monkeypatch.setattr(floer, "all_floer_strips", lambda: list(strips))
+    after = build_complex("cp2")
+    assert before.column("p--")["p++"] == 1
+    assert after.column("p--")["p++"] == 0
+    assert after.column("p+-")["p-+"] == 0    # two witnesses now
+    assert main(["floer", "--side", "cp2"]) == 1
+    out = capsys.readouterr().out
+    assert "squares to identity with 12 strips: False" in out
+
+
+def test_cobordism_ends_give_d_cp2_as_d_cp1_plus_bubbles():
+    # Each of the twelve components at one height joins its CP^2 strip at
+    # h -> pi/2 to a CP^1 strip or a sheet-switching bubble at h -> 0 with
+    # the same endpoints, all read off the maps, so d_CP2 = d_CP1 + B.
+    family = sector_family(0.5)
+    arrows = {q.label: endpoints(q.patches[0]) for q in family}
+    cp2, cp1 = build_complex("cp2"), build_complex("cp1")
+    bubbles = [make_eight_bubble_sheet_switch(s1, s2)
+               for s1 in (+1, -1) for s2 in (+1, -1)]
+    bubble_arrows = [endpoints(b.patches[0]) for b in bubbles]
+
+    assert sorted(arrows.values()) == sorted(cp2.provenance)
+    assert sorted(arrows[q.label] for q in family
+                  if q.family == "maslov1") == sorted(cp1.provenance)
+    assert sorted(arrows[q.label] for q in family
+                  if q.family == "const") == sorted(bubble_arrows)
+    bubble = np.zeros((4, 4), dtype=int)
+    for src, dst in bubble_arrows:
+        bubble[GENERATORS.index(dst), GENERATORS.index(src)] += 1
+    assert ((cp1.matrix() + bubble) % 2 == cp2.matrix()).all()
+    assert (differential_square(cp2) == np.eye(4, dtype=int)).all()
+    assert not differential_square(cp1).any()

@@ -9,11 +9,13 @@ from quiltlab.analysis import BlaschkeData
 from quiltlab.catalog import (BoundaryEdge, Quilt, all_floer_strips,
                               make_const_projection_quilt,
                               make_eight_bubble_sheet_switch, with_blaschke)
+from quiltlab.floer import build_complex
 from quiltlab.geometry import LagrangianId
 from quiltlab.verify import (MASLOV1_PROFILE, STRICT_PROFILE,
+                             _maslov1_limit_diagnostics,
                              boundary_residual_profile, default_profile,
-                             patch_area, seam_residual_profile, sweep_family,
-                             verify_quilt)
+                             limit_strip, patch_area, seam_residual_profile,
+                             sweep_family, verify_quilt)
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +241,20 @@ def test_sweep_reports_equal_verify_of_their_ids(sweep_h08):
     for label in ("quilt.const.h0.8.pm", "quilt.maslov1.h0.8.v1.m.fplus"):
         assert reports[label].to_dict() == \
             verify_quilt(catalog.resolve(label)).to_dict()
+
+
+def test_h_to_0_limits_are_a_bijection_onto_the_cp1_strips():
+    # Each index-one component's h -> 0 strip has the endpoints of its CP^2
+    # patch, so the eight components reach the eight CP^1 strips once each.
+    cp1 = build_complex("cp1")
+    limits = [limit_strip(q, cp1) for q in catalog.sector_family(0.3)
+              if q.family == "maslov1"]
+    assert len(limits) == 8
+    assert set(limits) == {m.label for m in all_floer_strips()
+                           if m.target_dim == 1}
+    # the CP^1 maps ignore the sheet sign, so the distance does not move
+    assert _maslov1_limit_diagnostics()["h_to_0_identity_max"] == \
+        1.6883057536160646e-16
 
 
 def test_sweep_rejects_bad_heights(monkeypatch):
