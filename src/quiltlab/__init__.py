@@ -18,8 +18,8 @@ from .analysis import (BlaschkeData, BoundaryEvaluationError, DomainError,
                        f_eval, g_eval, halfplane_to_strip, strip_to_halfplane,
                        winding_number)
 from .catalog import (AnalyticMap, PatchRegion, Quilt, Regime, RegionKind,
-                      Seam, BoundaryEdge, all_floer_strips, catalog_ids,
-                      make_acw_quilt, make_const_projection_quilt,
+                      all_floer_strips, catalog_ids, make_acw_quilt,
+                      make_const_projection_quilt,
                       make_eight_bubble_sheet_switch, make_floer_strip_cp1,
                       make_floer_strip_cp2, make_maslov1_quilt, resolve,
                       sector_family, with_blaschke)

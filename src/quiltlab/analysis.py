@@ -429,13 +429,13 @@ def f_eval(sol: PoissonSolution, z: complex) -> complex:
     return sol.sign * cmath.exp(log_f(sol, z))
 
 
-def f_and_derivative(sol: PoissonSolution, z: complex,
-                     gauge: float = 0.0) -> tuple[complex, complex]:
-    """(f, f') * exp(-gauge) from a single adaptive pass computing I and I'."""
+def f_and_derivative(sol: PoissonSolution,
+                     z: complex) -> tuple[complex, complex]:
+    """(f, f') from a single adaptive pass computing I and I'."""
     z = _check_strip_point(sol, z)
     w = sol.halfplane_point(z)
     I, Ip, _, _ = _herglotz(w, sol.power, sol.settings, want_deriv=True)
-    val = sol.sign * cmath.exp(I / (2.0j * math.pi) - gauge)
+    val = sol.sign * cmath.exp(I / (2.0j * math.pi))
     dlog = (math.pi / (2.0 * sol.h)) * w * Ip / (2.0j * math.pi)
     return val, val * dlog
 

@@ -1,23 +1,20 @@
 """Constructors for the explicit holomorphic strips and quilted strips.
 
 Every map is an ``AnalyticMap`` carried by a holomorphic homogeneous lift
-and one evaluator, ``evaluate(z, gauge, deriv)``.  For a 1-d complex array
-z and a float array gauge of the same shape it returns the lift times
-exp(-gauge), one row per point; with ``deriv`` true it returns the pair
-(rows, z-derivative rows) under the same gauge.  The gauge is
-max(Re z, 0): a constant gauge per evaluation point preserves holomorphy of
-the lift and cancels in every projective quantity (density, residuals,
-chordal distances), and it keeps coordinates built from exp(z)
-representable for |Re z| up to several hundred.  Only the index-one pair
-(e^z + 1, e^z - 1) uses it; the other closed forms ignore it.
+and one evaluator, ``evaluate(z, deriv)``.  For a 1-d complex array z it
+returns the lift, one row per point; with ``deriv`` true it returns the
+pair (rows, z-derivative rows).  Every check evaluates at |Re z| <= 50,
+where the largest closed-form coordinate, e^z, and the density's |u|^4
+stay far inside double range; ``x_cap`` bounds the |Re z| an evaluator
+represents, and every check clips to it.
 
 ``Regime`` names the numerical regime the verifier branches on: constant
 maps, rationally decaying maps (whole-line area integrals), exponentially
 decaying maps (truncated area integrals with a tail bound), and
 exponentially decaying maps whose last coordinate comes from quadrature
-(coarse holomorphy stencils, |Re z| capped by ``x_cap``).  On the top edge
-of a quadrature-backed patch that coordinate is the sign times the
-extrapolated modulus, which is all the phase-blind seam residual consumes.
+(coarse holomorphy stencils).  On the top edge of a quadrature-backed
+patch that coordinate is the sign times the extrapolated modulus, which is
+all the phase-blind seam residual consumes.
 
 The maps are built by one builder per kind: a Moebius coordinate in one
 slot, a constant, an affine map, and the index-one pair with an optional
@@ -26,6 +23,11 @@ quadrature-backed last coordinate.  That coordinate is the sign times one
 values memoized; ``sector_family`` shares one of them among the eight
 index-one quilts at a height, so each trace is computed once.  Catalog ids
 follow one grammar, the ``_IDS`` table, which ``resolve`` parses.
+
+Every quilt has one shape: a CP^2 patch u2 on 0 <= Im z <= y, seamed
+along Im z = y through the correspondence to one CP^1 patch u1 above it.
+A ``Quilt`` holds the two patches and the Lagrangian of u2's bottom edge;
+the seam line and the boundary edges follow from the patches.
 
 A map carries no Floer data: ``floer.endpoints`` reads a strip's endpoints
 off its bottom edge, and both differentials and the sweep's limit strips
@@ -42,8 +44,8 @@ from typing import Callable
 
 import numpy as np
 
-from .analysis import (EDGE_STEPS, BlaschkeData, PoissonSolution,
-                       QuadratureSettings, blaschke_eval,
+from .analysis import (_MAX_EXP, EDGE_STEPS, BlaschkeData,
+                       PoissonSolution, QuadratureSettings, blaschke_eval,
                        blaschke_log_derivative, boundary_modulus,
                        extrapolate_to_edge, f_and_derivative,
                        halfplane_points, herglotz_batch, log_f)
@@ -72,11 +74,6 @@ class PatchRegion:
                 (self.y_hi is None or not (self.y_lo < self.y_hi)):
             raise ValueError("strip region needs y_lo < y_hi")
 
-    def edges(self) -> tuple[float, ...]:
-        if self.kind is RegionKind.STRIP:
-            return (self.y_lo, self.y_hi)
-        return (self.y_lo,)
-
 
 def strip(y_lo: float, y_hi: float) -> PatchRegion:
     return PatchRegion(RegionKind.STRIP, y_lo, y_hi)
@@ -103,14 +100,6 @@ def mobius_tanh_derivative(z):
     return 2.0 * s / (1.0 + s) ** 2
 
 
-def _exp_pair(z, gauge):
-    """(exp(z) + 1, exp(z) - 1) times exp(-gauge), stable for gauge =
-    max(Re z, 0)."""
-    a = np.exp(z - gauge)
-    b = np.exp(-gauge + 0j)
-    return a + b, a - b
-
-
 # ---------------------------------------------------------------------------
 # analytic maps
 
@@ -133,17 +122,13 @@ class AnalyticMap:
     regime: Regime
     x_cap: float = math.inf         # largest |Re z| the evaluator represents
 
-    def _points(self, z, gauge):
-        z = np.atleast_1d(np.asarray(z, dtype=complex))
-        g = np.maximum(z.real, 0.0) if gauge is None else \
-            np.broadcast_to(np.asarray(gauge, dtype=float), z.shape)
-        return z, g
+    def values(self, z) -> np.ndarray:
+        return self.evaluate(np.atleast_1d(np.asarray(z, dtype=complex)),
+                             False)
 
-    def values(self, z, gauge=None) -> np.ndarray:
-        return self.evaluate(*self._points(z, gauge), False)
-
-    def values_and_derivs(self, z, gauge=None):
-        return self.evaluate(*self._points(z, gauge), True)
+    def values_and_derivs(self, z):
+        return self.evaluate(np.atleast_1d(np.asarray(z, dtype=complex)),
+                             True)
 
     def point(self, z) -> ProjectivePoint:
         return normalize(self.values(z)[0])
@@ -156,7 +141,7 @@ class AnalyticMap:
 def _moebius_slot(label, region, slot, signs, scale=1.0) -> AnalyticMap:
     """signs[k] times 1 in every coordinate k but ``slot``, which carries
     the Moebius coordinate of scale * z."""
-    def evaluate(z, gauge, deriv):
+    def evaluate(z, deriv):
         m = mobius_tanh(scale * z)
         one = np.ones_like(m)
         rows = np.stack([s * (m if k == slot else one)
@@ -173,7 +158,7 @@ def _moebius_slot(label, region, slot, signs, scale=1.0) -> AnalyticMap:
 
 
 def _constant(label, region, signs) -> AnalyticMap:
-    def evaluate(z, gauge, deriv):
+    def evaluate(z, deriv):
         one = np.ones_like(z)
         rows = np.stack([s * one for s in signs], axis=1)
         return (rows, np.zeros_like(rows)) if deriv else rows
@@ -187,7 +172,7 @@ def _affine(label, region, a, b) -> AnalyticMap:
     a = np.array(a, dtype=complex)
     b = np.array(b, dtype=complex)
 
-    def evaluate(z, gauge, deriv):
+    def evaluate(z, deriv):
         rows = z[:, None] * a + b
         return (rows, np.broadcast_to(a, rows.shape)) if deriv else rows
 
@@ -214,15 +199,14 @@ class StripTraces:
         self.sol = PoissonSolution(h, +1, _STRIP_SETTINGS)
         self._memo: dict = {}
 
-    def __call__(self, z: np.ndarray, gauge: np.ndarray, deriv: bool):
-        """Rows f(z) exp(-gauge), or with deriv (f, f') exp(-gauge), one per
-        point.  On the top edge, where direct quadrature cannot reach, f is
-        replaced by the extrapolated modulus |f|, and by NaN where the
-        extrapolation does not converge."""
-        key = (z.tobytes(), gauge.tobytes(), deriv)
+    def __call__(self, z: np.ndarray, deriv: bool):
+        """Rows f(z), or with deriv (f, f'), one per point.  On the top
+        edge, where direct quadrature cannot reach, f is replaced by the
+        extrapolated modulus |f|, and by NaN where the extrapolation does
+        not converge."""
+        key = (z.tobytes(), deriv)
         if key not in self._memo:
-            self._memo[key] = self._derivs(z, gauge) if deriv else \
-                self._values(z, gauge)
+            self._memo[key] = self._derivs(z) if deriv else self._values(z)
         return self._memo[key]
 
     def _batch(self, z: np.ndarray, deriv: bool):
@@ -230,23 +214,22 @@ class StripTraces:
         w = halfplane_points(sol, z)
         return w, herglotz_batch(w, sol.power, sol.settings, deriv)
 
-    def _derivs(self, z, gauge):
+    def _derivs(self, z):
         sol = self.sol
         w, batch = self._batch(z, True)
-        val = np.exp(batch.value / (2.0j * math.pi) - gauge)
+        val = np.exp(batch.value / (2.0j * math.pi))
         dlog = (math.pi / (2.0 * sol.h)) * w * batch.deriv / (2.0j * math.pi)
         rows = np.stack([val, val * dlog], axis=1)
         for k in np.flatnonzero(~batch.ok):
-            rows[k] = f_and_derivative(sol, z[k], gauge[k])
+            rows[k] = f_and_derivative(sol, z[k])
         return rows
 
-    def _values(self, z, gauge):
+    def _values(self, z):
         sol = self.sol
         top = np.abs(z.imag - sol.h) <= 1e-12 * max(1.0, sol.h)
         rows = np.empty((z.size, 1), dtype=complex)
         if top.any():
-            rows[top, 0] = np.sqrt(self._top_edge(z.real[top])) * \
-                np.exp(-gauge[top])
+            rows[top, 0] = np.sqrt(self._top_edge(z.real[top]))
         inner = ~top
         if inner.any():
             zi = z[inner]
@@ -254,7 +237,7 @@ class StripTraces:
             logs = batch.value / (2.0j * math.pi)
             for k in np.flatnonzero(~batch.ok):
                 logs[k] = log_f(sol, zi[k])
-            rows[inner, 0] = np.exp(logs - gauge[inner])
+            rows[inner, 0] = np.exp(logs)
         return rows
 
     def _top_edge(self, x: np.ndarray) -> np.ndarray:
@@ -280,14 +263,13 @@ def _index_one(label, region, variant, s1, traces=None,
     """(e^z + 1, s1 (e^z - 1)) for variant 0 or (e^z - 1, s1 (e^z + 1)) for
     variant 1, with fsign times the strip solution of ``traces`` as a
     quadrature-backed last coordinate when given."""
-    def evaluate(z, gauge, deriv):
-        plus, minus = _exp_pair(z, gauge)
-        cols = [plus, s1 * minus] if variant == 0 else [minus, s1 * plus]
-        if deriv:
-            a = np.exp(z - gauge)
-            dcols = [a, s1 * a]
+    def evaluate(z, deriv):
+        a = np.exp(z)
+        cols = [a + 1.0, s1 * (a - 1.0)] if variant == 0 else \
+            [a - 1.0, s1 * (a + 1.0)]
+        dcols = [a, s1 * a]
         if traces is not None:
-            third = fsign * traces(z, gauge, deriv)
+            third = fsign * traces(z, deriv)
             cols.append(third[:, 0])
             if deriv:
                 dcols.append(third[:, 1])
@@ -296,7 +278,8 @@ def _index_one(label, region, variant, s1, traces=None,
 
     if traces is None:
         return AnalyticMap(label=label, region=region, target_dim=1,
-                           evaluate=evaluate, regime=Regime.EXPONENTIAL)
+                           evaluate=evaluate, regime=Regime.EXPONENTIAL,
+                           x_cap=_MAX_EXP)
     return AnalyticMap(label=label, region=region, target_dim=2,
                        evaluate=evaluate, regime=Regime.QUADRATURE,
                        x_cap=traces.sol.x_cap)
@@ -305,63 +288,38 @@ def _index_one(label, region, variant, s1, traces=None,
 # ---------------------------------------------------------------------------
 # quilts
 
-@dataclass(frozen=True)
-class Seam:
-    cp1_patch: int
-    cp2_patch: int
-    y: float
-
-
-@dataclass(frozen=True)
-class BoundaryEdge:
-    patch: int
-    edge: str                # "bottom" | "top"
-    y: float
-    lagrangian: LagrangianId
-
-
 @dataclass
 class Quilt:
+    """A CP^2 patch on a strip from Im z = 0, seamed along its top edge
+    ``seam_y`` to the CP^1 patch above it; ``bottom`` is the Lagrangian of
+    the CP^2 patch's bottom edge."""
+
     label: str
-    patches: tuple
-    seams: tuple
-    boundaries: tuple
+    patches: tuple                  # (u2, u1)
+    bottom: LagrangianId
     family: str
     h: float | None = None
     expected_area: float | None = None
 
     def __post_init__(self):
-        for seam in self.seams:
-            for idx in (seam.cp1_patch, seam.cp2_patch):
-                edges = self.patches[idx].region.edges()
-                if not any(abs(e - seam.y) <= 1e-12 for e in edges):
-                    raise ValueError(
-                        f"{self.label}: patch {idx} does not reach the seam "
-                        f"line y = {seam.y}")
-        claimed = {(seam.cp1_patch, round(seam.y, 12)) for seam in self.seams}
-        claimed |= {(seam.cp2_patch, round(seam.y, 12)) for seam in self.seams}
-        claimed |= {(b.patch, round(b.y, 12)) for b in self.boundaries}
-        for idx, patch in enumerate(self.patches):
-            for e in patch.region.edges():
-                if (idx, round(e, 12)) not in claimed:
-                    raise ValueError(
-                        f"{self.label}: edge y = {e} of patch {idx} carries "
-                        "neither a seam nor a boundary condition")
+        u2, u1 = self.patches
+        if u2.region.y_lo != 0.0 or u1.region.y_lo != u2.region.y_hi:
+            raise ValueError(f"{self.label}: the CP^2 patch must start at "
+                             "Im z = 0 and the CP^1 patch where it ends")
 
+    @property
+    def seam_y(self) -> float:
+        return self.patches[0].region.y_hi
 
-def _seamed(label: str, family: str, u2: AnalyticMap, u1: AnalyticMap,
-            bottom: LagrangianId, h: float | None = None) -> Quilt:
-    """A CP^2 patch on a strip from Im z = 0, seamed along its top edge to
-    the CP^1 patch above it; a CP^1 strip carries the Clifford circle on
-    its top edge."""
-    boundaries = (BoundaryEdge(0, "bottom", 0.0, bottom),)
-    if u1.region.kind is RegionKind.STRIP:
-        boundaries += (BoundaryEdge(1, "top", u1.region.y_hi,
-                                    LagrangianId.S1_CLIFFORD),)
-    return Quilt(label=label, patches=(u2, u1),
-                 seams=(Seam(cp1_patch=1, cp2_patch=0, y=u2.region.y_hi),),
-                 boundaries=boundaries, family=family, h=h,
-                 expected_area=0.5)
+    @property
+    def boundaries(self) -> tuple:
+        """(patch, y, Lagrangian) of every boundary edge, bottom first: a
+        CP^1 strip carries the Clifford circle on its top edge."""
+        top = self.patches[1].region
+        edges = ((0, 0.0, self.bottom),)
+        if top.kind is RegionKind.STRIP:
+            edges += ((1, top.y_hi, LagrangianId.S1_CLIFFORD),)
+        return edges
 
 
 # ---------------------------------------------------------------------------
@@ -412,8 +370,8 @@ def make_const_projection_quilt(h: float, s1: int, s2: int) -> Quilt:
         f"const.u2.{_SIG[s1]}{_SIG[s2]}", strip(0.0, h), 2, (1, s1, s2),
         scale=math.pi / (2.0 * h))
     u1 = _constant(f"const.u1.{_SIG[s1]}", strip(h, HALF_PI), (1, s1))
-    return _seamed(f"quilt.const.h{_h_tag(h)}.{_SIG[s1]}{_SIG[s2]}",
-                   "const", u2, u1, LagrangianId.RP2, h)
+    return Quilt(f"quilt.const.h{_h_tag(h)}.{_SIG[s1]}{_SIG[s2]}",
+                 (u2, u1), LagrangianId.RP2, "const", h, 0.5)
 
 
 def make_maslov1_quilt(h: float, variant: int, s1: int, fsign: int) -> Quilt:
@@ -433,8 +391,9 @@ def _maslov1(traces: StripTraces, variant: int, s1: int,
         variant, s1, traces, fsign)
     u1 = _index_one(f"maslov1.u1.v{variant}.{_SIG[s1]}", strip(h, HALF_PI),
                     variant, s1)
-    return _seamed(f"quilt.maslov1.h{_h_tag(h)}.v{variant}.{_SIG[s1]}"
-                   f".f{_PM[fsign]}", "maslov1", u2, u1, LagrangianId.RP2, h)
+    return Quilt(f"quilt.maslov1.h{_h_tag(h)}.v{variant}.{_SIG[s1]}"
+                 f".f{_PM[fsign]}", (u2, u1), LagrangianId.RP2, "maslov1", h,
+                 0.5)
 
 
 def make_eight_bubble_sheet_switch(s1: int, s2: int) -> Quilt:
@@ -444,8 +403,8 @@ def make_eight_bubble_sheet_switch(s1: int, s2: int) -> Quilt:
                        strip(0.0, HALF_PI), 2, (1, s1, s2))
     v1 = _constant(f"bubble.v1.{_SIG[s1]}", half_plane_above(HALF_PI),
                    (1, s1))
-    return _seamed(f"bubble.sheet_switch.{_SIG[s1]}{_SIG[s2]}", "bubble",
-                   v2, v1, LagrangianId.RP2)
+    return Quilt(f"bubble.sheet_switch.{_SIG[s1]}{_SIG[s2]}", (v2, v1),
+                 LagrangianId.RP2, "bubble", expected_area=0.5)
 
 
 def make_acw_quilt(sign: int) -> Quilt:
@@ -458,8 +417,8 @@ def make_acw_quilt(sign: int) -> Quilt:
                  (sign, 1j, sign), (6j * sign, 0.0, -6j * sign))
     u1 = _affine(f"acw.u1.{_SIG[sign]}", half_plane_above(1.0),
                  (sign, 1j), (6j * sign, 0.0))
-    return _seamed(f"quilt.acw.{_PM[sign]}", "acw", u2, u1,
-                   LagrangianId.L_AC)
+    return Quilt(f"quilt.acw.{_PM[sign]}", (u2, u1), LagrangianId.L_AC,
+                 "acw", expected_area=0.5)
 
 
 def with_blaschke(quilt: Quilt, data: BlaschkeData) -> Quilt:
@@ -473,8 +432,8 @@ def with_blaschke(quilt: Quilt, data: BlaschkeData) -> Quilt:
         raise ValueError("Blaschke data height must match the quilt")
     base = quilt.patches[0]
 
-    def evaluate(z, gauge, deriv):
-        out = base.evaluate(z, gauge, deriv)
+    def evaluate(z, deriv):
+        out = base.evaluate(z, deriv)
         rows = (out[0] if deriv else out).copy()
         b = blaschke_eval(data, z)
         if deriv:
@@ -487,12 +446,11 @@ def with_blaschke(quilt: Quilt, data: BlaschkeData) -> Quilt:
     twisted = replace(base, label=base.label + ".blaschke",
                       evaluate=evaluate)
 
-    return Quilt(
-        label=quilt.label + ".blaschke" +
-              "".join(f".{a.real:g}{a.imag:+g}j" for a in data.alphas),
-        patches=(twisted,) + quilt.patches[1:],
-        seams=quilt.seams, boundaries=quilt.boundaries,
-        family="maslov1_blaschke", h=quilt.h, expected_area=None)
+    return replace(
+        quilt, label=quilt.label + ".blaschke" +
+        "".join(f".{a.real:g}{a.imag:+g}j" for a in data.alphas),
+        patches=(twisted, quilt.patches[1]), family="maslov1_blaschke",
+        expected_area=None)
 
 
 # ---------------------------------------------------------------------------

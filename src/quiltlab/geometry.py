@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-TOL_MEMBERSHIP = 1e-9
 TOL_EQUALITY = 1e-12
 
 

@@ -93,7 +93,7 @@ def emit_moment_figure(grid: int = 200) -> FigureData:
     lac_layer = np.column_stack([lac, lac_res])
 
     # strip patch edges
-    y_seam = quilt.seams[0].y
+    y_seam = quilt.seam_y
     ys = np.linspace(0.0, y_seam, n)
     right = moment_cp2_rows(u2.values(1j * ys))
     right_layer = np.column_stack(

@@ -251,7 +251,6 @@ def test_batch_error_estimate_sees_a_coarse_layout(monkeypatch):
     traces = catalog.StripTraces(0.5)
     sol = traces.sol
     z = np.array([0.3 + 0.2j, -2.0 + 0.45j, 4.0 + 0.497j])
-    gauge = np.maximum(z.real, 0.0)
     x = np.array([-1.0, 2.5])
     monkeypatch.setattr(analysis, "_BATCH_RATIO", 8.0)
     batch = herglotz_batch(halfplane_points(sol, z), sol.power, sol.settings)
@@ -266,13 +265,13 @@ def test_batch_error_estimate_sees_a_coarse_layout(monkeypatch):
             calls.append(_name)
             return _fn(*args, **kwargs)
         monkeypatch.setattr(catalog, name, counted)
-    rows = traces(z, gauge, False)
-    assert np.array_equal(rows[:, 0], [np.exp(analysis.log_f(sol, zz) - g)
-                                       for zz, g in zip(z, gauge)])
-    rows = traces(z, gauge, True)
-    assert np.array_equal(rows, [analysis.f_and_derivative(sol, zz, g)
-                                 for zz, g in zip(z, gauge)])
-    top = traces(x + 1j * sol.h, np.zeros(2), False)
+    rows = traces(z, False)
+    assert np.array_equal(rows[:, 0], [np.exp(analysis.log_f(sol, zz))
+                                       for zz in z])
+    rows = traces(z, True)
+    assert np.array_equal(rows, [analysis.f_and_derivative(sol, zz)
+                                 for zz in z])
+    top = traces(x + 1j * sol.h, False)
     assert np.array_equal(top[:, 0], np.sqrt(
         [analysis.boundary_modulus(sol, xx) for xx in x]))
     assert calls == ["log_f"] * 3 + ["f_and_derivative"] * 3 + \

@@ -1,20 +1,22 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from quiltlab.analysis import BlaschkeData
-from quiltlab.catalog import (SIGNS, AnalyticMap, BoundaryEdge, Quilt,
-                              Seam, all_floer_strips, catalog_ids,
-                              make_acw_quilt, make_const_projection_quilt,
+from quiltlab.catalog import (SIGNS, AnalyticMap, Quilt, Regime,
+                              all_floer_strips, catalog_ids,
+                              half_plane_above, make_acw_quilt,
+                              make_const_projection_quilt,
                               make_eight_bubble_sheet_switch,
                               make_floer_strip_cp1, make_floer_strip_cp2,
                               make_maslov1_quilt, mobius_tanh, resolve,
                               sector_family, with_blaschke)
 from quiltlab.floer import build_complex, endpoints
 from quiltlab.geometry import (LagrangianId, _fs_distance_rows, _unit_rows,
-                               fs_distance, lagrangian_residual_rows,
-                               normalize)
+                               fs_distance, homogeneous_density,
+                               lagrangian_residual_rows, normalize)
 from quiltlab.verify import (boundary_residual_profile, cr_residual_profile,
                              limit_strip, patch_area, seam_residual_profile)
 
@@ -137,7 +139,7 @@ def test_sector_family_has_twelve_components():
 def test_maslov1_seam_modulus_identity(maslov1_pi4):
     # phase-blind seam trace: 2|Z|^2 = |X|^2 + |Y|^2 on the seam line
     x = np.linspace(-3, 3, 9)
-    rows = maslov1_pi4.patches[0].seam_rows(x, maslov1_pi4.seams[0].y)
+    rows = maslov1_pi4.patches[0].seam_rows(x, maslov1_pi4.seam_y)
     lhs = 2.0 * np.abs(rows[:, 2]) ** 2
     rhs = np.abs(rows[:, 0]) ** 2 + np.abs(rows[:, 1]) ** 2
     assert np.max(np.abs(lhs - rhs) / rhs) <= 1e-8
@@ -278,6 +280,41 @@ def test_derivative_evaluators_match_finite_differences():
         assert np.max(np.abs(ders - fd)) <= 1e-6 * (1 + np.max(np.abs(ders)))
 
 
+# ---------------------------------------------------------------------------
+# the evaluated range: the seam and boundary profiles sample Re z = +-50 on
+# the edge lines, and the area integrals reach Re z = +-32 inside a patch
+
+@pytest.mark.parametrize("h", [0.15, 1.4])
+def test_lifts_are_finite_where_the_checks_evaluate(h):
+    index_one = make_maslov1_quilt(h, 0, +1, +1).patches
+    maps = (make_const_projection_quilt(h, +1, -1).patches + index_one
+            + make_eight_bubble_sheet_switch(+1, -1).patches
+            + make_acw_quilt(-1).patches
+            + (make_floer_strip_cp2(2, -1, +1),
+               make_floer_strip_cp1(1, +1, -1)))
+    for m in maps:
+        y_lo, y_hi = m.region.y_lo, m.region.y_hi
+        inner = y_lo + 1.0 if y_hi is None else 0.5 * (y_lo + y_hi)
+        lines = [(y, 50.0) for y in (y_lo, y_hi) if y is not None]
+        lines.append((inner, 32.0))
+        for y, x in lines:
+            z = np.array([-x, x]) + 1j * y
+            rows = m.values(z)
+            assert np.all(np.isfinite(rows)), (m.label, y)
+            assert np.all(np.isfinite(_unit_rows(rows))), (m.label, y)
+            # a quadrature-backed top edge carries only the modulus
+            if m.regime is Regime.QUADRATURE and y == y_hi:
+                continue
+            density = homogeneous_density(*m.values_and_derivs(z))
+            assert np.all(np.isfinite(density)), (m.label, y)
+
+    # the closed-form pair (e^z + 1, e^z - 1) of the index-one CP^1 patch
+    # stays finite out to its cap
+    pair = index_one[1]
+    z = np.array([-pair.x_cap, pair.x_cap]) + 1j * pair.region.y_hi
+    assert all(np.all(np.isfinite(a)) for a in pair.values_and_derivs(z))
+
+
 def test_registry_round_trip():
     for h in (0.5, math.pi / 4, 0.7, 1.0):
         for ident in catalog_ids(h):
@@ -301,16 +338,16 @@ def test_registry_takes_an_empty_height_tag_from_the_argument():
 
 
 def test_quilt_validation_rejects_uncovered_edges():
+    # a CP^2 strip alone leaves its top edge without a seam partner
     u2 = make_floer_strip_cp2(0, +1, +1)
     with pytest.raises(ValueError):
-        Quilt(label="broken", patches=(u2,), seams=(),
-              boundaries=(BoundaryEdge(0, "bottom", 0.0, LagrangianId.RP2),),
+        Quilt(label="broken", patches=(u2,), bottom=LagrangianId.RP2,
               family="test")
 
 
 def test_quilt_validation_rejects_detached_seam():
-    q = make_acw_quilt(+1)
+    u2, u1 = make_acw_quilt(+1).patches
+    detached = dataclasses.replace(u1, region=half_plane_above(1.5))
     with pytest.raises(ValueError):
-        Quilt(label="broken", patches=q.patches,
-              seams=(Seam(cp1_patch=1, cp2_patch=0, y=0.5),),
-              boundaries=q.boundaries, family="test")
+        Quilt(label="broken", patches=(u2, detached),
+              bottom=LagrangianId.L_AC, family="test")

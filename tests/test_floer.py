@@ -12,7 +12,7 @@ from quiltlab import floer
 from quiltlab.catalog import (HALF_PI, _constant,
                               make_eight_bubble_sheet_switch,
                               make_floer_strip_cp1, make_floer_strip_cp2,
-                              sector_family, strip)
+                              make_maslov1_quilt, sector_family, strip)
 from quiltlab.cli import main
 from quiltlab.floer import (GENERATORS, EndpointError, FloerSide,
                             build_complex, differential_square, endpoints,
@@ -152,10 +152,10 @@ def test_cp1_arrows_match_cover_continuation_oracle():
         for s1 in (+1, -1):
             base = make_floer_strip_cp1(i, s1, +1)
 
-            def scaled(z, gauge, deriv, _base=base):
+            def scaled(z, deriv, _base=base):
                 scale = rng.uniform(0.5, 2.0, z.size) * \
                     np.exp(2j * np.pi * rng.uniform(size=z.size))
-                return _base.evaluate(z, gauge, deriv) * scale[:, None] * \
+                return _base.evaluate(z, deriv) * scale[:, None] * \
                     np.array([1.0, 1.0 + 1e-12])
 
             rescaled = dataclasses.replace(base, evaluate=scaled)
@@ -188,6 +188,17 @@ def test_an_end_off_the_generators_raises():
             endpoints(_constant("off", region, signs))
 
 
+def test_endpoints_at_small_height_are_a_typed_edge():
+    # a quadrature-backed patch's x_cap, 1280 h / pi, clips its ends short
+    # of Re z = 40: at h = 0.05 they stop 1.2e-9 from their generators
+    def ends(h):
+        return endpoints(make_maslov1_quilt(h, 0, +1, -1).patches[0])
+
+    with pytest.raises(EndpointError):
+        ends(0.05)
+    assert all(end in GENERATORS for end in ends(0.1))
+
+
 def test_a_flipped_sign_moves_a_derived_column(monkeypatch, capsys):
     # the map of floer.cp2.u0.pp (p-- -> p++) with its second coordinate
     # negated runs p+- -> p-+: the arrow follows the map, not the id
@@ -195,8 +206,8 @@ def test_a_flipped_sign_moves_a_derived_column(monkeypatch, capsys):
     k = next(k for k, m in enumerate(strips) if m.label == "floer.cp2.u0.pp")
     base = strips[k]
 
-    def flipped(z, gauge, deriv):
-        return base.evaluate(z, gauge, deriv) * np.array([1, -1, 1])
+    def flipped(z, deriv):
+        return base.evaluate(z, deriv) * np.array([1, -1, 1])
 
     strips[k] = dataclasses.replace(base, evaluate=flipped)
     before = build_complex("cp2")
