@@ -3,10 +3,9 @@ CP^2, with numerical verification of their seam, boundary, holomorphy, and
 area conditions."""
 
 from .geometry import (InvalidPointError, DimensionMismatchError,
-                       LagrangianId, MomentValue, ProjectivePoint,
-                       correspondence_residual, correspondence_residual_parts,
-                       fs_distance, homogeneous_density, lagrangian_residual,
-                       moment_cp1_lift, moment_cp2, normalize,
+                       LagrangianId, correspondence_residual_rows,
+                       homogeneous_density, lagrangian_residual_rows,
+                       moment_cp1_lift_rows, moment_cp2_rows,
                        pullback_density)
 from .quadrature import (BudgetExceededError, QuadratureResult,
                          integrate_interval, integrate_line)
@@ -15,8 +14,7 @@ from .analysis import (BlaschkeData, BoundaryEvaluationError, DomainError,
                        QuadratureSettings, UndefinedPointError,
                        UnreliableContourError, asymptotic_ratio,
                        blaschke_eval, boundary_modulus, f_and_derivative,
-                       f_eval, g_eval, halfplane_to_strip, strip_to_halfplane,
-                       winding_number)
+                       f_eval, g_eval, halfplane_to_strip, winding_number)
 from .catalog import (AnalyticMap, PatchRegion, Quilt, Regime, RegionKind,
                       all_floer_strips, catalog_ids, make_acw_quilt,
                       make_const_projection_quilt,

@@ -85,15 +85,9 @@ class UnreliableContourError(RuntimeError):
 # ---------------------------------------------------------------------------
 # conformal maps between the strip and the punctured upper half-plane
 
-def strip_to_halfplane(z, h: float):
-    """z -> i exp(pi z / 2h); bottom edge -> positive imaginary axis, top
-    edge Im z = h -> negative real axis."""
-    _check_height(h)
-    return 1j * np.exp(math.pi * np.asarray(z, dtype=complex) / (2.0 * h))
-
-
 def halfplane_to_strip(w, h: float):
-    """Inverse map (2h/pi) log(-i w); principal branch, defined away from 0."""
+    """The inverse of ``PoissonSolution.halfplane_point``, (2h/pi) log(-i w);
+    principal branch, defined away from 0."""
     _check_height(h)
     w = np.asarray(w, dtype=complex)
     if np.any(w == 0):

@@ -6,7 +6,9 @@ returns the lift, one row per point; with ``deriv`` true it returns the
 pair (rows, z-derivative rows).  Every check evaluates at |Re z| <= 50,
 where the largest closed-form coordinate, e^z, and the density's |u|^4
 stay far inside double range; ``x_cap`` bounds the |Re z| an evaluator
-represents, and every check clips to it.
+represents, and every check clips to it.  ``length`` is the |Re z| scale on
+which a map varies, 1 but for a reparametrized Moebius coordinate; the area
+truncation is measured in it.
 
 ``Regime`` names the numerical regime the verifier branches on: constant
 maps, rationally decaying maps (whole-line area integrals), exponentially
@@ -49,7 +51,7 @@ from .analysis import (_MAX_EXP, EDGE_STEPS, BlaschkeData,
                        blaschke_log_derivative, boundary_modulus,
                        extrapolate_to_edge, f_and_derivative,
                        halfplane_points, herglotz_batch, log_f)
-from .geometry import LagrangianId, ProjectivePoint, normalize
+from .geometry import LagrangianId
 
 SIGNS = {"p": +1, "m": -1, "plus": +1, "minus": -1}
 _SIG = {+1: "p", -1: "m"}
@@ -121,6 +123,7 @@ class AnalyticMap:
     evaluate: Callable
     regime: Regime
     x_cap: float = math.inf         # largest |Re z| the evaluator represents
+    length: float = 1.0             # the |Re z| scale on which the map varies
 
     def values(self, z) -> np.ndarray:
         return self.evaluate(np.atleast_1d(np.asarray(z, dtype=complex)),
@@ -129,9 +132,6 @@ class AnalyticMap:
     def values_and_derivs(self, z):
         return self.evaluate(np.atleast_1d(np.asarray(z, dtype=complex)),
                              True)
-
-    def point(self, z) -> ProjectivePoint:
-        return normalize(self.values(z)[0])
 
     def seam_rows(self, x: np.ndarray, y: float) -> np.ndarray:
         """Values along the horizontal line Im z = y."""
@@ -154,7 +154,8 @@ def _moebius_slot(label, region, slot, signs, scale=1.0) -> AnalyticMap:
                                for k, s in enumerate(signs)], axis=1)
 
     return AnalyticMap(label=label, region=region, target_dim=len(signs) - 1,
-                       evaluate=evaluate, regime=Regime.EXPONENTIAL)
+                       evaluate=evaluate, regime=Regime.EXPONENTIAL,
+                       length=1.0 / scale)
 
 
 def _constant(label, region, signs) -> AnalyticMap:

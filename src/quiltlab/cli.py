@@ -7,8 +7,9 @@ keyed by its flag names (``h_grid`` for ``--h-grid``), and each value passes
 through the same flag's type and choices, so flags override the file.
 
 Exit codes: 0 all checks passed, 1 a verification failed, 2 bad usage or
-configuration.  Numeric work is deterministic for a given command line;
-CSV and JSON artifacts are byte-stable.
+configuration, including an output path that cannot be written.  Numeric
+work is deterministic for a given command line; CSV and JSON artifacts are
+byte-stable.
 """
 
 from __future__ import annotations
@@ -110,8 +111,11 @@ def _apply_config(command: argparse.ArgumentParser, path: str) -> None:
 
 def _write_report(report_dict: dict, path: str | None) -> None:
     if path:
-        Path(path).parent.mkdir(parents=True, exist_ok=True)
-        Path(path).write_text(json_text(report_dict) + "\n")
+        try:
+            Path(path).parent.mkdir(parents=True, exist_ok=True)
+            Path(path).write_text(json_text(report_dict) + "\n")
+        except OSError as exc:
+            raise UsageError(f"cannot write report: {exc}")
 
 
 def cmd_catalog(args: argparse.Namespace) -> int:
@@ -213,9 +217,12 @@ def cmd_moment_plot(args: argparse.Namespace) -> int:
     sym = float(np.max(np.abs(fig.symmetry_pairs[:, :2]
                               - fig.symmetry_pairs[:, 2:])))
     outdir = Path(args.out)
-    paths = write_figure_csvs(fig, outdir)
     svg_path = outdir / "figure.svg"
-    svg_path.write_text(figure_svg(fig))
+    try:
+        paths = write_figure_csvs(fig, outdir)
+        svg_path.write_text(figure_svg(fig))
+    except OSError as exc:
+        raise UsageError(f"cannot write figure: {exc}")
     for p in paths + [svg_path]:
         print("wrote", p)
     print(f"triangle violation {violation:.3e}, worst layer residual "

@@ -1,21 +1,20 @@
 """Complex projective spaces with the monotone Fubini-Study normalization.
 
-Points are stored as canonical unit representatives (first significant
-coordinate real and positive).  Membership in the Lagrangians and in the
-reduction correspondence is measured by scale-invariant residual functions
-whose zero sets are exact; away from zero they are comparable to the chordal
-Fubini-Study distance.
+A point of CP^n is a row of n + 1 homogeneous coordinates, and every
+function here takes an array of such rows, one per sample point; each
+scales its rows to unit length itself, so a row's scale and phase never
+matter.  Membership in the Lagrangians and in the reduction correspondence
+is measured by scale-invariant residual functions whose zero sets are
+exact; away from zero they are comparable to the chordal Fubini-Study
+distance.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
-
-TOL_EQUALITY = 1e-12
 
 
 class InvalidPointError(ValueError):
@@ -27,7 +26,7 @@ class DimensionMismatchError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# points
+# homogeneous rows
 
 def _unit_rows(rows: np.ndarray) -> np.ndarray:
     rows = np.atleast_2d(np.asarray(rows, dtype=complex))
@@ -37,64 +36,19 @@ def _unit_rows(rows: np.ndarray) -> np.ndarray:
     return rows / norms[:, None]
 
 
-def _canonical_rows(rows: np.ndarray) -> np.ndarray:
-    rows = _unit_rows(rows)
-    out = rows.copy()
-    for i, row in enumerate(rows):
-        idx = np.flatnonzero(np.abs(row) > 1e-9)
-        j = idx[0] if idx.size else int(np.argmax(np.abs(row)))
-        phase = row[j] / abs(row[j])
-        out[i] = row / phase
-    return out
-
-
-@dataclass(frozen=True)
-class ProjectivePoint:
-    """A point of CP^n held as its canonical unit representative."""
-
-    coords: tuple[complex, ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.coords) - 1
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.coords, dtype=complex)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ProjectivePoint):
-            return NotImplemented
-        if len(self.coords) != len(other.coords):
-            return False
-        return max(abs(a - b) for a, b in
-                   zip(self.coords, other.coords)) <= TOL_EQUALITY
-
-    def __hash__(self):
-        return hash(tuple(np.round(np.asarray(self.coords), 9).tolist()))
-
-
-def normalize(raw) -> ProjectivePoint:
-    """Canonical representative: unit norm, first significant coordinate
-    real and positive."""
-    row = _canonical_rows(np.asarray(raw, dtype=complex).reshape(1, -1))[0]
-    return ProjectivePoint(tuple(row))
-
-
-def fs_distance(p: ProjectivePoint, q: ProjectivePoint) -> float:
-    if p.n != q.n:
-        raise DimensionMismatchError(f"CP^{p.n} point vs CP^{q.n} point")
-    return float(_fs_distance_rows(p.as_array()[None, :],
-                                   q.as_array()[None, :])[0])
-
-
 def _fs_distance_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """sqrt(1 - |<a,b>|^2) for unit rows, via the wedge (Plucker) norm.
 
     The wedge form sums |a_j b_k - a_k b_j|^2, which cancels exactly for
     proportional vectors instead of amplifying roundoff through 1-|<a,b>|^2.
+    Rows of CP^n against rows of CP^m, n != m, raise
+    ``DimensionMismatchError``.
     """
     a = _unit_rows(a)
     b = _unit_rows(b)
+    if a.shape[1] != b.shape[1]:
+        raise DimensionMismatchError(
+            f"CP^{a.shape[1] - 1} rows vs CP^{b.shape[1] - 1} rows")
     k = a.shape[1]
     acc = np.zeros(a.shape[0])
     for j in range(k):
@@ -137,22 +91,6 @@ def homogeneous_density(values: np.ndarray, derivs: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # moment maps
 
-@dataclass(frozen=True)
-class MomentValue:
-    m1: float
-    m2: float
-
-    def as_tuple(self) -> tuple[float, float]:
-        return (self.m1, self.m2)
-
-
-def moment_cp2(p: ProjectivePoint) -> MomentValue:
-    if p.n != 2:
-        raise DimensionMismatchError("moment_cp2 needs a CP^2 point")
-    m = moment_cp2_rows(p.as_array()[None, :])[0]
-    return MomentValue(float(m[0]), float(m[1]))
-
-
 def moment_cp2_rows(rows: np.ndarray) -> np.ndarray:
     rows = np.atleast_2d(np.asarray(rows, dtype=complex))
     sq = np.abs(rows) ** 2
@@ -161,16 +99,9 @@ def moment_cp2_rows(rows: np.ndarray) -> np.ndarray:
                     axis=1)
 
 
-def moment_cp1_lift(p: ProjectivePoint) -> MomentValue:
+def moment_cp1_lift_rows(rows: np.ndarray) -> np.ndarray:
     """Moment interval of CP^1 lifted into the CP^2 moment triangle (the
     reduced space sits over the level segment at height -1/6)."""
-    if p.n != 1:
-        raise DimensionMismatchError("moment_cp1_lift needs a CP^1 point")
-    m = moment_cp1_lift_rows(p.as_array()[None, :])[0]
-    return MomentValue(float(m[0]), float(m[1]))
-
-
-def moment_cp1_lift_rows(rows: np.ndarray) -> np.ndarray:
     rows = np.atleast_2d(np.asarray(rows, dtype=complex))
     sq = np.abs(rows) ** 2
     total = np.sum(sq, axis=1)
@@ -223,13 +154,6 @@ def _l_ac_residual(rows: np.ndarray) -> np.ndarray:
     return np.maximum(gap, phase)
 
 
-def lagrangian_residual(lid: LagrangianId, p: ProjectivePoint) -> float:
-    if p.n != lid.ambient_dim:
-        raise DimensionMismatchError(
-            f"{lid.name} lives in CP^{lid.ambient_dim}, got CP^{p.n} point")
-    return float(lagrangian_residual_rows(lid, p.as_array()[None, :])[0])
-
-
 def lagrangian_residual_rows(lid: LagrangianId, rows: np.ndarray) -> np.ndarray:
     rows = _unit_rows(rows)
     if rows.shape[1] != lid.ambient_dim + 1:
@@ -244,20 +168,6 @@ def lagrangian_residual_rows(lid: LagrangianId, rows: np.ndarray) -> np.ndarray:
     if lid is LagrangianId.L_AC:
         return _l_ac_residual(rows)
     raise ValueError(lid)
-
-
-def correspondence_residual_parts(p1, p2) -> tuple[float, float | None]:
-    """(level residual, projection residual) for ((p1, p2) in the reduction
-    correspondence); projection is None when p2 = [0:0:1]."""
-    level, proj, defined = correspondence_residual_rows(*(
-        np.asarray(p.as_array() if isinstance(p, ProjectivePoint) else p,
-                   dtype=complex).reshape(1, -1) for p in (p1, p2)))
-    return float(level[0]), (float(proj[0]) if defined[0] else None)
-
-
-def correspondence_residual(p1, p2) -> float:
-    level, proj = correspondence_residual_parts(p1, p2)
-    return level if proj is None else max(level, proj)
 
 
 def correspondence_residual_rows(rows1: np.ndarray, rows2: np.ndarray):

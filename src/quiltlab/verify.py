@@ -125,6 +125,8 @@ def patch_area(m: cat.AnalyticMap, *, x_cut: float = 32.0,
                y_cut: float = 1e7) -> tuple[float, float]:
     """Integral of the pullback density over the patch region, with an error
     estimate that includes quadrature and truncation-tail contributions.
+    The truncation ``x_cut`` of an exponentially decaying map is measured
+    in the map's ``length``.
 
     A quadrature-backed patch takes a relaxed inner tolerance and a capped
     outer refinement, since each of its density evaluations costs a
@@ -147,13 +149,14 @@ def patch_area(m: cat.AnalyticMap, *, x_cut: float = 32.0,
             val = float(np.real(res.value))
             inner_err_box[0] = max(inner_err_box[0], res.error_estimate)
             return val
-        cut = min(x_cut, m.x_cap)
+        cut = min(x_cut * m.length, m.x_cap)
         res = integrate_interval(rho, -cut, cut, knots=(0.0,),
                                  abs_tol=inner_tol, rel_tol=1e-9,
                                  raise_on_budget=False)
-        # Moebius/exponential densities decay like exp(-2|x|).
+        # Moebius/exponential densities decay like exp(-2|x| / length).
         edge = rho(np.array([-cut, cut]))
-        tail_box[0] = max(tail_box[0], 0.5 * float(edge[0] + edge[1]))
+        tail_box[0] = max(tail_box[0],
+                          0.5 * m.length * float(edge[0] + edge[1]))
         inner_err_box[0] = max(inner_err_box[0], res.error_estimate)
         return float(np.real(res.value))
 
@@ -338,7 +341,7 @@ class SweepResult:
         }
 
 
-def _sup_fs_distance(rows_a: np.ndarray, rows_b: np.ndarray) -> float:
+def _sup_distance(rows_a: np.ndarray, rows_b: np.ndarray) -> float:
     return float(np.max(_fs_distance_rows(_unit_rows(rows_a),
                                           _unit_rows(rows_b))))
 
@@ -389,7 +392,7 @@ def _limit_sup(family: str, h: float, patch: int, side: str,
     """Largest distance on zs from the given patch of each component of a
     family at height h to its limit strip on ``side``."""
     complex_ = floer.build_complex(side)
-    return max(_sup_fs_distance(
+    return max(_sup_distance(
         q.patches[patch].values(zs),
         cat.resolve(limit_strip(q, complex_)).values(zs))
         for q in cat.sector_family(h) if q.family == family)
@@ -400,7 +403,7 @@ def _const_limit_diagnostics() -> dict:
     # sheet-switching bubble identically.
     h = 1e-3
     ws = _limit_grid(HALF_PI, radius=10.0)
-    worst = max(_sup_fs_distance(
+    worst = max(_sup_distance(
         cat.make_const_projection_quilt(h, s1, s2).patches[0].values(
             (2.0 * h / math.pi) * ws),
         cat.make_eight_bubble_sheet_switch(s1, s2).patches[0].values(ws))

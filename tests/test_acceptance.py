@@ -150,9 +150,9 @@ def test_criterion_09_moment_figure():
               <= 1e-12)
     rational_zero = ellipse_residual_exact(Fraction(-1, 150),
                                            Fraction(-1, 6)) == 0
-    corner = ql.moment_cp2(ql.make_acw_quilt(+1).patches[0].point(0.0))
-    corner_ok = abs(corner.m1 - 0.0) <= 1e-12 and \
-        abs(corner.m2 + 0.25) <= 1e-12
+    corner = ql.moment_cp2_rows(ql.make_acw_quilt(+1).patches[0].values(0.0))
+    corner_ok = abs(corner[0, 0] - 0.0) <= 1e-12 and \
+        abs(corner[0, 1] + 0.25) <= 1e-12
     mirror = float(np.max(np.abs(fig.symmetry_pairs[:, :2]
                                  - fig.symmetry_pairs[:, 2:])))
     ok = lam_ok and lac_ok and rational_zero and corner_ok and mirror <= 1e-12

@@ -87,6 +87,32 @@ def test_bad_input_exits_2_with_one_line(argv, capsys, monkeypatch):
     assert captured.err.count("\n") == 1
 
 
+def _one_error_line(capsys):
+    err = capsys.readouterr().err
+    return err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["verify", "area"])
+def test_report_path_that_is_a_directory_exits_2(command, tmp_path, capsys):
+    assert main([command, "--quilt", "quilt.acw.plus",
+                 "--report", str(tmp_path)]) == 2
+    assert _one_error_line(capsys)
+
+
+def test_report_under_a_file_exits_2(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(["floer", "--report", str(blocker / "x.json")]) == 2
+    assert _one_error_line(capsys)
+
+
+def test_figure_directory_that_is_a_file_exits_2(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(["moment-plot", "--grid", "20", "--out", str(blocker)]) == 2
+    assert _one_error_line(capsys)
+
+
 def test_bad_tamper_spec_is_usage_error(capsys):
     assert main(["verify", "--quilt", "quilt.acw.plus",
                  "--tamper", "wat"]) == 2

@@ -18,13 +18,13 @@ from quiltlab.floer import (GENERATORS, EndpointError, FloerSide,
                             build_complex, differential_square, endpoints,
                             format_matrix, format_provenance,
                             homology_dimension, strip_count)
-from quiltlab.geometry import fs_distance, normalize
+from quiltlab.geometry import _fs_distance_rows
 
 
 def _generator_point(label):
     s1 = +1 if label[1] == "+" else -1
     s2 = +1 if label[2] == "+" else -1
-    return normalize([1.0, s1, s2])
+    return np.array([[1.0, s1, s2]])
 
 
 # ---------------------------------------------------------------------------
@@ -137,8 +137,9 @@ def test_cp2_endpoints_match_numerical_limits():
                 strip_map = make_floer_strip_cp2(i, s1, s2)
                 src, dst = endpoints(strip_map)
                 for x, label in ((-40.0, src), (40.0, dst)):
-                    assert fs_distance(strip_map.point(complex(x, 0.3)),
-                                       _generator_point(label)) <= 1e-10
+                    limit = strip_map.values(complex(x, 0.3))
+                    assert _fs_distance_rows(
+                        limit, _generator_point(label))[0] <= 1e-10
 
 
 def test_cp1_arrows_match_cover_continuation_oracle():

@@ -6,12 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quiltlab.geometry import (DimensionMismatchError, InvalidPointError,
-                               LagrangianId, correspondence_residual,
-                               correspondence_residual_parts,
-                               correspondence_residual_rows, fs_distance,
-                               homogeneous_density, lagrangian_residual,
-                               lagrangian_residual_rows, moment_cp1_lift,
-                               moment_cp2, moment_cp2_rows, normalize,
+                               LagrangianId, _fs_distance_rows, _unit_rows,
+                               correspondence_residual_rows,
+                               homogeneous_density, lagrangian_residual_rows,
+                               moment_cp1_lift_rows, moment_cp2_rows,
                                pullback_density)
 from quiltlab.quadrature import integrate_interval
 
@@ -21,24 +19,29 @@ finite_complex = st.builds(complex, st.floats(-5, 5), st.floats(-5, 5))
 
 
 # ---------------------------------------------------------------------------
-# canonical representatives
+# homogeneous rows
+
+def _distance(a, b) -> float:
+    """Fubini-Study distance between the points of two single rows."""
+    return float(_fs_distance_rows(np.array([a]), np.array([b]))[0])
+
 
 def test_normalize_scaling():
-    assert normalize([2, 0, 0]).coords == pytest.approx((1, 0, 0))
+    assert tuple(_unit_rows([[2, 0, 0]])[0]) == pytest.approx((1, 0, 0))
 
 
 def test_normalize_phase_removal():
-    assert normalize([0, 0, 3j]).coords == pytest.approx((0, 0, 1))
+    assert _distance([0, 0, 3j], [0, 0, 1]) <= 1e-12
 
 
 def test_normalize_unit_norm():
-    p = normalize([1, 1, 1])
-    assert p.coords == pytest.approx(tuple([1 / math.sqrt(3)] * 3))
+    row = _unit_rows([[1, 1, 1]])[0]
+    assert tuple(row) == pytest.approx(tuple([1 / math.sqrt(3)] * 3))
 
 
 def test_normalize_rejects_zero_vector():
     with pytest.raises(InvalidPointError):
-        normalize([0, 0, 0])
+        _unit_rows([[0, 0, 0]])
 
 
 @given(scale=finite_complex, vec=st.lists(finite_complex, min_size=2,
@@ -48,21 +51,21 @@ def test_normalize_projective_invariance(scale, vec):
     v = np.array(vec)
     if np.linalg.norm(v) < 1e-3 or abs(scale) < 1e-3:
         return
-    assert normalize(v) == normalize(scale * v)
+    assert _distance(v, scale * v) <= 1e-12
 
 
 def test_fs_distance_examples():
-    assert fs_distance(normalize([1, 0]), normalize([0, 1])) == \
-        pytest.approx(1.0)
-    p = normalize([1, 2j, 3])
-    assert fs_distance(p, p) == 0.0
-    assert fs_distance(normalize([1, 1]), normalize([1, 0])) == \
-        pytest.approx(1 / math.sqrt(2))
+    assert _distance([1, 0], [0, 1]) == pytest.approx(1.0)
+    assert _distance([1, 2j, 3], [1, 2j, 3]) == 0.0
+    assert _distance([1, 1], [1, 0]) == pytest.approx(1 / math.sqrt(2))
 
 
 def test_fs_distance_dimension_mismatch():
+    # CP^1 rows against CP^2 rows, one and several at a time
     with pytest.raises(DimensionMismatchError):
-        fs_distance(normalize([1, 0]), normalize([1, 0, 0]))
+        _fs_distance_rows([[1, 0]], [[1, 0, 5]])
+    with pytest.raises(DimensionMismatchError):
+        _fs_distance_rows(np.ones((4, 2)), np.ones((4, 3)))
 
 
 @given(vec=st.lists(finite_complex, min_size=3, max_size=3),
@@ -72,9 +75,8 @@ def test_fs_distance_symmetric(vec, other):
     a, b = np.array(vec), np.array(other)
     if min(np.linalg.norm(a), np.linalg.norm(b)) < 1e-3:
         return
-    p, q = normalize(a), normalize(b)
-    assert fs_distance(p, q) == pytest.approx(fs_distance(q, p), abs=1e-14)
-    assert 0.0 <= fs_distance(p, q) <= 1.0
+    assert _distance(a, b) == pytest.approx(_distance(b, a), abs=1e-14)
+    assert 0.0 <= _distance(a, b) <= 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -143,21 +145,17 @@ def test_cp1_total_area_is_two():
 # moment maps
 
 def test_moment_cp2_vertices():
-    assert moment_cp2(normalize([0, 1, 0])).as_tuple() == \
-        pytest.approx((-0.5, 0.0))
-    assert moment_cp2(normalize([0, 0, 1])).as_tuple() == \
-        pytest.approx((0.0, -0.5))
-    assert moment_cp2(normalize([1, 1, 1])).as_tuple() == \
-        pytest.approx((-1 / 6, -1 / 6))
+    m = moment_cp2_rows([[0, 1, 0], [0, 0, 1], [1, 1, 1]])
+    assert tuple(m[0]) == pytest.approx((-0.5, 0.0))
+    assert tuple(m[1]) == pytest.approx((0.0, -0.5))
+    assert tuple(m[2]) == pytest.approx((-1 / 6, -1 / 6))
 
 
 def test_moment_cp1_lift_segment():
-    assert moment_cp1_lift(normalize([1, 0])).as_tuple() == \
-        pytest.approx((0.0, -1 / 6))
-    assert moment_cp1_lift(normalize([0, 1])).as_tuple() == \
-        pytest.approx((-1 / 3, -1 / 6))
-    assert moment_cp1_lift(normalize([1, 1])).as_tuple() == \
-        pytest.approx((-1 / 6, -1 / 6))
+    m = moment_cp1_lift_rows([[1, 0], [0, 1], [1, 1]])
+    assert tuple(m[0]) == pytest.approx((0.0, -1 / 6))
+    assert tuple(m[1]) == pytest.approx((-1 / 3, -1 / 6))
+    assert tuple(m[2]) == pytest.approx((-1 / 6, -1 / 6))
 
 
 def test_moment_image_fills_closed_triangle():
@@ -194,19 +192,21 @@ def _samples(lid, n=200):
 
 
 def test_residual_examples():
-    assert lagrangian_residual(LagrangianId.RP2, normalize([1, 1, 1])) == \
+    def residual(lid, row):
+        return float(lagrangian_residual_rows(lid, [row])[0])
+
+    assert residual(LagrangianId.RP2, [1, 1, 1]) == \
         pytest.approx(0.0, abs=1e-15)
-    assert lagrangian_residual(LagrangianId.L_AC, normalize([1, 0, 1])) == \
+    assert residual(LagrangianId.L_AC, [1, 0, 1]) == \
         pytest.approx(0.0, abs=1e-15)
-    assert lagrangian_residual(LagrangianId.T2_CLIFFORD,
-                               normalize([1, 0, 0])) == pytest.approx(1.0)
-    assert lagrangian_residual(LagrangianId.S1_CLIFFORD,
-                               normalize([1, 1j])) == pytest.approx(0.0)
+    assert residual(LagrangianId.T2_CLIFFORD, [1, 0, 0]) == \
+        pytest.approx(1.0)
+    assert residual(LagrangianId.S1_CLIFFORD, [1, 1j]) == pytest.approx(0.0)
 
 
 def test_residual_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
-        lagrangian_residual(LagrangianId.RP2, normalize([1, 0]))
+        lagrangian_residual_rows(LagrangianId.RP2, [[1, 0]])
 
 
 @pytest.mark.parametrize("lid", list(LagrangianId))
@@ -224,7 +224,6 @@ def test_residual_separates_far_points(lid):
     # residuals stay above 0.1 there.
     floor = 0.015 if lid is LagrangianId.L_AC else 0.1
     members = _samples(lid, 2000)
-    from quiltlab.geometry import _fs_distance_rows, _unit_rows
     members_u = _unit_rows(members)
     k = lid.ambient_dim + 1
     found = 0
@@ -245,21 +244,21 @@ def test_residual_separates_far_points(lid):
 # the reduction correspondence
 
 def test_correspondence_examples():
-    assert correspondence_residual(normalize([1, 1]),
-                                   normalize([1, 1, 1])) == \
-        pytest.approx(0.0, abs=1e-15)
-    assert correspondence_residual(normalize([1, 1]),
-                                   normalize([1, 1, 0])) == pytest.approx(1.0)
-    assert correspondence_residual(normalize([1, 0]),
-                                   normalize([1, 1, 1])) == \
-        pytest.approx(1 / math.sqrt(2))
+    # the seam residual: the larger of the level and projection parts
+    level, proj, defined = correspondence_residual_rows(
+        [[1, 1], [1, 1], [1, 0]], [[1, 1, 1], [1, 1, 0], [1, 1, 1]])
+    assert defined.all()
+    residual = np.maximum(level, proj)
+    assert residual[0] == pytest.approx(0.0, abs=1e-15)
+    assert residual[1] == pytest.approx(1.0)
+    assert residual[2] == pytest.approx(1 / math.sqrt(2))
 
 
 def test_correspondence_undefined_projection_is_flagged():
-    level, proj = correspondence_residual_parts(normalize([1, 0]),
-                                                normalize([0, 0, 1]))
-    assert proj is None
-    assert level == pytest.approx(2.0)
+    level, proj, defined = correspondence_residual_rows([[1, 0]],
+                                                        [[0, 0, 1]])
+    assert not defined[0]
+    assert level[0] == pytest.approx(2.0)
 
 
 def test_correspondence_projection_component_vanishes_on_sections():

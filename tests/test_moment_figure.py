@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from quiltlab.catalog import make_acw_quilt
-from quiltlab.geometry import moment_cp2, normalize
+from quiltlab.geometry import _fs_distance_rows, moment_cp2_rows
 from quiltlab.moment_figure import (TRIANGLE, ellipse_residual_exact,
                                     emit_moment_figure, figure_csv_strings,
                                     figure_svg, write_figure_csvs)
@@ -49,10 +49,10 @@ def test_right_edge_lies_on_ellipse(fig):
 
 def test_strip_corner_projection():
     q = make_acw_quilt(+1)
-    m = moment_cp2(q.patches[0].point(0.0))
-    assert m.as_tuple() == pytest.approx((0.0, -0.25), abs=1e-14)
-    assert normalize(q.patches[0].values(np.array([0.0 + 0j]))[0]) == \
-        normalize([1, 0, -1])
+    m = moment_cp2_rows(q.patches[0].values(0.0))[0]
+    assert tuple(m) == pytest.approx((0.0, -0.25), abs=1e-14)
+    assert _fs_distance_rows(q.patches[0].values(np.array([0.0 + 0j])),
+                             [[1, 0, -1]])[0] <= 1e-12
 
 
 def test_patch_edges_lie_on_their_segments(fig):

@@ -142,6 +142,15 @@ def test_const_quilt_report_passes():
     assert abs(report.total_area - 0.5) <= 1e-5
 
 
+@pytest.mark.parametrize("h", [0.01, 0.015])
+def test_const_quilt_report_passes_at_small_height(h):
+    # the CP^2 patch's Moebius coordinate varies on |Re z| ~ 2h/pi, so its
+    # area cut and tail bound are measured in that length
+    report = verify_quilt(make_const_projection_quilt(h, +1, -1))
+    assert report.passed
+    assert abs(report.total_area - 0.5) <= 1e-8
+
+
 def test_tampered_seam_fails(acw_plus):
     report = verify_quilt(acw_plus, tamper=("seam", 0.01))
     assert not report.passed
