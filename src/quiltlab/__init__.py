@@ -11,10 +11,9 @@ from .quadrature import (BudgetExceededError, QuadratureResult,
                          integrate_interval, integrate_line)
 from .analysis import (BlaschkeData, BoundaryEvaluationError, DomainError,
                        InvalidBlaschkeDataError, PoissonSolution,
-                       QuadratureSettings, UndefinedPointError,
-                       UnreliableContourError, asymptotic_ratio,
-                       blaschke_eval, boundary_modulus, f_and_derivative,
-                       f_eval, g_eval, halfplane_to_strip, winding_number)
+                       QuadratureSettings, UnreliableContourError,
+                       asymptotic_ratio, blaschke_eval, boundary_modulus,
+                       f_and_derivative, f_eval, winding_number)
 from .catalog import (AnalyticMap, PatchRegion, Quilt, Regime, RegionKind,
                       all_floer_strips, catalog_ids, make_acw_quilt,
                       make_const_projection_quilt,

@@ -4,7 +4,7 @@ The central object is the pair of zero-free holomorphic functions on the
 strip 0 <= Im z <= h that are real on the bottom edge, have squared modulus
 exp(2x) + 1 on the top edge, and are asymptotically pinned to exp(2z) + 1.
 They are evaluated by transporting to the upper half-plane through
-w = i exp(pi z / 2h) and integrating
+w = i exp(pi z / 2h), the one map ``halfplane_points``, and integrating
 
     I(w) = int (1 + t w)/(t - w) * log(1 + |t|^p) / (1 + t^2) dt,  p = 4h/pi,
 
@@ -13,8 +13,10 @@ t = 0 (p < 2), a Poisson-kernel peak at t = Re w of half-width Im w, and a
 logarithmic far field that turns over at |t| ~ |w|.  Both half-lines are
 integrated in s = log|t|, where the weight is smooth and decays
 exponentially toward both ends; every feature stays resolved and
-representable for |log|w|| up to ~640, which covers seam profiles on
-|x| <= 50 for every strip height used here.
+representable for |log|w|| up to 640, that is for |Re z| up to
+``PoissonSolution.x_cap`` = 1280 h / pi.  ``halfplane_points`` is also the
+one check of a strip point: it rejects a point off the strip, past that cap
+or on the top edge, and every sample grid clips to the same cap.
 
 Two engines evaluate I.  ``herglotz_batch`` takes an array of points and
 evaluates them on a fixed panel layout per point, in numpy passes of at
@@ -70,29 +72,12 @@ class BoundaryEvaluationError(ValueError):
     """Evaluation requested on an edge that direct quadrature cannot reach."""
 
 
-class UndefinedPointError(ValueError):
-    pass
-
-
 class InvalidBlaschkeDataError(ValueError):
     pass
 
 
 class UnreliableContourError(RuntimeError):
     pass
-
-
-# ---------------------------------------------------------------------------
-# conformal maps between the strip and the punctured upper half-plane
-
-def halfplane_to_strip(w, h: float):
-    """The inverse of ``PoissonSolution.halfplane_point``, (2h/pi) log(-i w);
-    principal branch, defined away from 0."""
-    _check_height(h)
-    w = np.asarray(w, dtype=complex)
-    if np.any(w == 0):
-        raise UndefinedPointError("the inverse strip map is undefined at w=0")
-    return (2.0 * h / math.pi) * np.log(-1j * w)
 
 
 def _check_height(h: float):
@@ -337,28 +322,6 @@ def herglotz_batch(w, p: float, settings: QuadratureSettings,
                          ok, evals)
 
 
-_DEFAULT_SETTINGS = QuadratureSettings()
-
-
-def g_eval(w, h: float, sign: int = +1,
-           settings: QuadratureSettings | None = None) -> complex:
-    """Zero-free half-plane solution; real on the positive imaginary axis,
-    |g(x)| = sqrt(|x|^{4h/pi} + 1) on the real axis, g_- = -g_+."""
-    _check_height(h)
-    settings = settings or _DEFAULT_SETTINGS
-    w = complex(w)
-    if w == 0:
-        raise UndefinedPointError("g is undefined at w = 0")
-    if w.imag < 0:
-        raise DomainError("g is defined on the closed upper half-plane only")
-    if w.imag == 0:
-        raise BoundaryEvaluationError(
-            "real-axis values of g carry the kernel pole; use the strip "
-            "boundary extrapolation (boundary_modulus) instead")
-    I, _, _, _ = _herglotz(w, 4.0 * h / math.pi, settings)
-    return sign * cmath.exp(I / (2.0j * math.pi))
-
-
 @dataclass(frozen=True)
 class PoissonSolution:
     """One of the two strip solutions (sign = +-1) at height h, evaluated by
@@ -379,42 +342,43 @@ class PoissonSolution:
 
     @property
     def x_cap(self) -> float:
-        """Largest |Re z| whose half-plane point stays representable."""
+        """Largest |Re z| whose half-plane point stays representable; the
+        bound ``halfplane_points`` checks and every sample grid clips to."""
         return _MAX_EXP * 2.0 * self.h / math.pi
-
-    def halfplane_point(self, z: complex) -> complex:
-        e = math.pi * complex(z).real / (2.0 * self.h)
-        if abs(e) > _MAX_EXP:
-            raise DomainError(
-                f"Re z = {complex(z).real:.3g} is outside the representable "
-                f"evaluation range for h = {self.h:.3g}")
-        return 1j * cmath.exp(math.pi * complex(z) / (2.0 * self.h))
-
-
-def _check_strip_point(sol: PoissonSolution, z: complex) -> complex:
-    z = complex(z)
-    tol = 1e-12 * max(1.0, sol.h)
-    if z.imag < -tol or z.imag > sol.h + tol:
-        raise DomainError(
-            f"Im z = {z.imag:.3g} lies outside the strip [0, {sol.h:.3g}]")
-    if z.imag >= sol.h - 1e-12 * sol.h:
-        raise BoundaryEvaluationError(
-            "top-edge values are reached by extrapolation only; "
-            "use boundary_modulus")
-    return z
 
 
 def halfplane_points(sol: PoissonSolution, z) -> np.ndarray:
-    """``sol.halfplane_point`` of every strip point in z, which must lie off
-    the top edge; the errors are those of ``log_f``."""
-    return np.array([sol.halfplane_point(_check_strip_point(sol, zz))
-                     for zz in z], dtype=complex)
+    """w = i exp(pi z / 2h) of every strip point in z, an array or one
+    point: the one map of the Herglotz engines into the half-plane, and the
+    one check of their input.  DomainError off the strip or where |Re z|
+    exceeds ``sol.x_cap``, the cap that every sample grid clips to;
+    BoundaryEvaluationError on the top edge."""
+    z = np.asarray(z, dtype=complex)
+    h = sol.h
+    y = z.imag
+    tol = 1e-12 * max(1.0, h)
+    off = (y < -tol) | (y > h + tol)
+    if off.any():
+        raise DomainError(f"Im z = {y[off].flat[0]:.3g} lies outside the "
+                          f"strip [0, {h:.3g}]")
+    if (y >= h - 1e-12 * h).any():
+        raise BoundaryEvaluationError(
+            "top-edge values are reached by extrapolation only; "
+            "use boundary_modulus")
+    far = np.abs(z.real) > sol.x_cap
+    if far.any():
+        raise DomainError(
+            f"Re z = {z.real[far].flat[0]:.3g} is outside the representable "
+            f"evaluation range for h = {h:.3g}")
+    # pi z / 2h part by part, as Python's complex division rounds it; numpy
+    # divides a complex by a real through its reciprocal
+    return 1j * np.exp(math.pi * z.real / (2.0 * h)
+                       + 1j * (math.pi * y / (2.0 * h)))
 
 
 def log_f(sol: PoissonSolution, z: complex) -> complex:
     """log of the positive-sign solution (the sign is a prefactor)."""
-    z = _check_strip_point(sol, z)
-    w = sol.halfplane_point(z)
+    w = complex(halfplane_points(sol, z))
     I, _, _, _ = _herglotz(w, sol.power, sol.settings)
     return I / (2.0j * math.pi)
 
@@ -426,8 +390,7 @@ def f_eval(sol: PoissonSolution, z: complex) -> complex:
 def f_and_derivative(sol: PoissonSolution,
                      z: complex) -> tuple[complex, complex]:
     """(f, f') from a single adaptive pass computing I and I'."""
-    z = _check_strip_point(sol, z)
-    w = sol.halfplane_point(z)
+    w = complex(halfplane_points(sol, z))
     I, Ip, _, _ = _herglotz(w, sol.power, sol.settings, want_deriv=True)
     val = sol.sign * cmath.exp(I / (2.0j * math.pi))
     dlog = (math.pi / (2.0 * sol.h)) * w * Ip / (2.0j * math.pi)

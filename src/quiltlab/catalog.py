@@ -6,9 +6,10 @@ returns the lift, one row per point; with ``deriv`` true it returns the
 pair (rows, z-derivative rows).  Every check evaluates at |Re z| <= 50,
 where the largest closed-form coordinate, e^z, and the density's |u|^4
 stay far inside double range; ``x_cap`` bounds the |Re z| an evaluator
-represents, and every check clips to it.  ``length`` is the |Re z| scale on
-which a map varies, 1 but for a reparametrized Moebius coordinate; the area
-truncation is measured in it.
+represents, and every sample grid clips to it (for a quadrature-backed
+map, ``analysis.halfplane_points`` rejects any larger |Re z|).  ``length``
+is the |Re z| scale on which a map varies, 1 but for a reparametrized
+Moebius coordinate; the area truncation is measured in it.
 
 ``Regime`` names the numerical regime the verifier branches on: constant
 maps, rationally decaying maps (whole-line area integrals), exponentially

@@ -180,29 +180,30 @@ _SIDES = {"cp1": [floer.FloerSide.CP1_GAMMA],
 
 def cmd_floer(args: argparse.Namespace) -> int:
     ok = True
-    payload = {}
+    payload, lines = {}, []
     for side in _SIDES[args.side]:
         cx = floer.build_complex(side)
         sq = floer.differential_square(cx)
         name = side.value
-        print(f"[{name}] differential (columns = source generators):")
-        print(floer.format_matrix(cx.matrix()))
-        print(f"[{name}] differential squared:")
-        print(floer.format_matrix(sq))
-        print(floer.format_provenance(cx))
+        lines += [f"[{name}] differential (columns = source generators):",
+                  floer.format_matrix(cx.matrix()),
+                  f"[{name}] differential squared:",
+                  floer.format_matrix(sq), floer.format_provenance(cx)]
         n_strips = sum(len(v) for v in cx.provenance.values())
         if side is floer.FloerSide.CP2_RP2:
             side_ok = bool((sq == np.eye(4, dtype=int)).all()) \
                 and n_strips == 12
-            print(f"[{name}] squares to identity with 12 strips: {side_ok}")
+            lines.append(f"[{name}] squares to identity with 12 strips: "
+                         f"{side_ok}")
         else:
             side_ok = not sq.any() and n_strips == 8
-            print(f"[{name}] squares to zero with 8 strips: {side_ok}")
+            lines.append(f"[{name}] squares to zero with 8 strips: {side_ok}")
         payload[name] = {"differential": cx.matrix().tolist(),
                          "square": sq.tolist(), "strips": n_strips,
                          "ok": side_ok}
         ok &= side_ok
     _write_report(payload, args.report)
+    print("\n".join(lines))
     return 0 if ok else 1
 
 

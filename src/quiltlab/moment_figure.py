@@ -35,9 +35,6 @@ def ellipse_residual(x, y):
     return a * x * x + b * x * y + c * y * y + d * x + e * y + f
 
 
-ellipse_residual_exact = ellipse_residual
-
-
 def lac_line_residual(x, y):
     # the segment between (-1/2, 0) and (0, -1/4) lies on 2x + 4y + 1 = 0
     return 2.0 * x + 4.0 * y + 1.0

@@ -206,10 +206,11 @@ def patch_area(m: cat.AnalyticMap, *, x_cut: float = 32.0,
 # holomorphy sampling
 
 def cr_residual_profile(m: cat.AnalyticMap, *, samples: int = 48) -> float:
-    """Max over an interior sample grid, Re z from -2.7 to 3.3, of
-    ||dbar u|| / ||u|| for the lift, via centered differences: coarse ones
-    for quadrature-backed maps, Richardson-refined fine ones otherwise.
-    Each step size evaluates the stencils of the whole grid in one call."""
+    """Max over an interior sample grid, Re z from -2.7 to 3.3 clipped to
+    the map's ``x_cap`` less the margin, of ||dbar u|| / ||u|| for the
+    lift, via centered differences: coarse ones for quadrature-backed maps,
+    Richardson-refined fine ones otherwise.  Each step size evaluates the
+    stencils of the whole grid in one call."""
     y_lo = m.region.y_lo
     y_hi = m.region.y_hi if m.region.y_hi is not None else y_lo + 2.0
     height = y_hi - y_lo
@@ -217,7 +218,8 @@ def cr_residual_profile(m: cat.AnalyticMap, *, samples: int = 48) -> float:
     step = (1e-5 if richardson else 1e-3) * height
     margin = max(4 * step, 2e-3 * height)
     n_side = max(2, int(math.sqrt(samples)))
-    xs = np.linspace(-3.0, 3.0, n_side + 1)[:-1] + 0.318
+    cap = m.x_cap - margin
+    xs = np.clip(np.linspace(-3.0, 3.0, n_side + 1)[:-1] + 0.318, -cap, cap)
     ys = np.linspace(y_lo + margin, y_hi - margin, n_side)
     zs = (xs[:, None] + 1j * ys[None, :]).ravel()
 

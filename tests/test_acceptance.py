@@ -11,8 +11,7 @@ import pytest
 
 import quiltlab as ql
 from quiltlab.floer import build_complex, differential_square
-from quiltlab.moment_figure import (ellipse_residual_exact,
-                                    emit_moment_figure)
+from quiltlab.moment_figure import ellipse_residual, emit_moment_figure
 from quiltlab.verify import patch_area, seam_residual_profile, \
     boundary_residual_profile, sweep_family
 
@@ -148,8 +147,8 @@ def test_criterion_09_moment_figure():
               <= 1e-12 and
               np.min(np.abs(lac_pts - np.array([0.0, -0.25])).sum(axis=1))
               <= 1e-12)
-    rational_zero = ellipse_residual_exact(Fraction(-1, 150),
-                                           Fraction(-1, 6)) == 0
+    rational_zero = ellipse_residual(Fraction(-1, 150),
+                                     Fraction(-1, 6)) == 0
     corner = ql.moment_cp2_rows(ql.make_acw_quilt(+1).patches[0].values(0.0))
     corner_ok = abs(corner[0, 0] - 0.0) <= 1e-12 and \
         abs(corner[0, 1] + 0.25) <= 1e-12

@@ -8,11 +8,11 @@ from quiltlab import analysis, catalog
 from quiltlab.analysis import (BlaschkeData, BoundaryEvaluationError,
                                DomainError, InvalidBlaschkeDataError,
                                PoissonSolution, QuadratureSettings,
-                               UndefinedPointError, UnreliableContourError,
-                               _herglotz, asymptotic_ratio, blaschke_eval,
+                               UnreliableContourError, _herglotz,
+                               asymptotic_ratio, blaschke_eval,
                                boundary_modulus, f_and_derivative, f_eval,
-                               g_eval, halfplane_points, halfplane_to_strip,
-                               herglotz_batch, winding_number)
+                               halfplane_points, herglotz_batch,
+                               winding_number)
 
 RNG = np.random.default_rng(3)
 
@@ -23,81 +23,105 @@ F_ANCHOR_PI8 = 2.2089012590039773736 + 0.52832256265069339775j
 
 
 # ---------------------------------------------------------------------------
-# strip <-> half-plane maps
-
-def _to_halfplane(z, h):
-    """The strip -> half-plane map of the Herglotz engines at every z."""
-    sol = PoissonSolution(h)
-    return np.array([sol.halfplane_point(zz) for zz in np.atleast_1d(z)])
-
+# the strip -> half-plane map
 
 def test_strip_map_base_points():
     sol = PoissonSolution(0.9)
-    assert sol.halfplane_point(0.0) == pytest.approx(1j)
-    assert sol.halfplane_point(1j * sol.h) == pytest.approx(-1.0)
+    assert halfplane_points(sol, 0.0) == pytest.approx(1j)
+    with pytest.raises(BoundaryEvaluationError):
+        halfplane_points(sol, 1j * sol.h)
+    below = 1j * sol.h * (1.0 - 1e-9)
+    assert halfplane_points(sol, below) == pytest.approx(-1.0)
 
 
 def test_strip_map_edge_images():
     h = math.pi / 5
-    w = _to_halfplane(np.array([2.0, -3.0]), h)
+    sol = PoissonSolution(h)
+    w = halfplane_points(sol, np.array([2.0, -3.0]))
     assert np.allclose(w.real, 0.0)
     assert np.all(w.imag > 0)
-    w = _to_halfplane(np.array([2.0 + 1j * h]), h)
-    assert w[0].real < 0 and abs(w[0].imag) < 1e-12
+    with pytest.raises(BoundaryEvaluationError):
+        halfplane_points(sol, np.array([2.0 + 1j * h]))
+    # 1e-9 h below the top edge, arg w = pi - pi 1e-9 / 2
+    w = halfplane_points(sol, np.array([2.0 + 1j * h * (1.0 - 1e-9)]))
+    assert w[0].real < 0 and 0 < w[0].imag <= 2e-9 * abs(w[0])
 
 
 def test_strip_map_round_trip():
     h = 1.1
     x = RNG.uniform(-8, 8, 100)
-    y = RNG.uniform(-0.95 * h, 0.95 * h, 100)
+    y = RNG.uniform(0.0, 0.95 * h, 100)
     z = x + 1j * y
-    back = halfplane_to_strip(_to_halfplane(z, h), h)
+    w = halfplane_points(PoissonSolution(h), z)
+    # bit for bit the pointwise map in Python's complex arithmetic
+    assert np.array_equal(w, [1j * cmath.exp(math.pi * complex(zz)
+                                             / (2.0 * h)) for zz in z])
+    back = (2.0 * h / math.pi) * np.log(-1j * w)
     assert np.max(np.abs(back - z)) <= 1e-12 * (1 + np.max(np.abs(z)))
 
 
-def test_inverse_map_rejects_origin():
-    with pytest.raises(UndefinedPointError):
-        halfplane_to_strip(0.0, 0.5)
+@pytest.mark.parametrize("h", [0.0074, 0.0106, 0.0119, 0.5, math.pi / 2])
+def test_strip_map_rejects_re_z_past_the_cap(h):
+    sol = PoissonSolution(h)
+    cap = sol.x_cap
+    edge = np.array([-cap, cap]) + 0.5j * h
+    assert np.all(np.isfinite(halfplane_points(sol, edge)))
+    assert np.isfinite(halfplane_points(sol, complex(cap, 0.0)))
+    past = np.nextafter(cap, math.inf)
+    for z in (complex(past, 0.5 * h), complex(-past, 0.0)):
+        with pytest.raises(DomainError):
+            halfplane_points(sol, z)
+        with pytest.raises(DomainError):
+            halfplane_points(sol, np.array([0.0, z]))
 
 
 # ---------------------------------------------------------------------------
-# half-plane solutions
+# half-plane solutions, as f at w = i exp(pi z / 2h): f(z) = g(w), and
+# g(-conj w) = conj g(w) reaches the points Re w > 0, where Im z < 0
+
+def _strip_point(w, h):
+    """(2h/pi) log(-i w), the z whose half-plane point is w."""
+    return (2.0 * h / math.pi) * cmath.log(-1j * w)
+
 
 def test_g_at_i_with_full_height_is_two():
     # at h = pi/2 the unique positive solution is 1 - iw
-    assert abs(g_eval(1j, math.pi / 2) - 2.0) <= 1e-9
+    h = math.pi / 2
+    assert abs(f_eval(PoissonSolution(h), _strip_point(1j, h)) - 2.0) <= 1e-9
 
 
 def test_g_against_offline_anchors():
-    assert abs(g_eval(2j, math.pi / 4) - G_2I_PI4) <= 1e-9
-    assert abs(g_eval(1 + 1j, math.pi / 3) - G_1PI_PI3) <= 1e-9
+    h = math.pi / 4
+    g = f_eval(PoissonSolution(h), _strip_point(2j, h))
+    assert abs(g - G_2I_PI4) <= 1e-9
+    h = math.pi / 3
+    g = f_eval(PoissonSolution(h),
+               _strip_point(1 + 1j, h).conjugate()).conjugate()
+    assert abs(g - G_1PI_PI3) <= 1e-9
 
 
 def test_g_boundary_modulus_law_near_axis():
-    g = g_eval(1 + 1e-6j, math.pi / 4)
-    assert abs(abs(g) - math.sqrt(2)) <= 1e-4
-    g = g_eval(1 + 1e-6j, math.pi / 3)
-    assert abs(abs(g) - math.sqrt(2)) <= 1e-4
-
-
-def test_g_minus_is_negated_plus():
-    for w in (0.3 + 0.7j, -2 + 0.1j, 5j):
-        assert g_eval(w, 1.0, -1) == -g_eval(w, 1.0, +1)
+    for h in (math.pi / 4, math.pi / 3):
+        z = _strip_point(1 + 1e-6j, h).conjugate()
+        g = f_eval(PoissonSolution(h), z)
+        assert abs(abs(g) - math.sqrt(2)) <= 1e-4
 
 
 def test_g_real_on_positive_imaginary_axis():
+    h = math.pi / 3
     for y in (0.1, 1.0, 7.3):
-        g = g_eval(1j * y, math.pi / 3)
+        g = f_eval(PoissonSolution(h), _strip_point(1j * y, h))
         assert abs(g.imag) <= 1e-8 * abs(g)
 
 
 def test_g_domain_errors():
-    with pytest.raises(UndefinedPointError):
-        g_eval(0.0, 1.0)
+    sol = PoissonSolution(1.0)
+    # w = 2 on the real axis reflects to the top edge
     with pytest.raises(BoundaryEvaluationError):
-        g_eval(2.0, 1.0)
+        f_eval(sol, _strip_point(2.0, 1.0).conjugate())
+    # w = 1 - i below the real axis lies at Im z = -1.5 h
     with pytest.raises(DomainError):
-        g_eval(1 - 1j, 1.0)
+        f_eval(sol, _strip_point(1 - 1j, 1.0))
 
 
 def test_f_at_full_height_is_exp_plus_one(sol_pi2):

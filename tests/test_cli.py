@@ -103,7 +103,10 @@ def test_report_under_a_file_exits_2(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("")
     assert main(["floer", "--report", str(blocker / "x.json")]) == 2
-    assert _one_error_line(capsys)
+    out, err = capsys.readouterr()
+    # the report is written before anything is printed
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_figure_directory_that_is_a_file_exits_2(tmp_path, capsys):

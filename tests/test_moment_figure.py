@@ -5,7 +5,7 @@ import pytest
 
 from quiltlab.catalog import make_acw_quilt
 from quiltlab.geometry import _fs_distance_rows, moment_cp2_rows
-from quiltlab.moment_figure import (TRIANGLE, ellipse_residual_exact,
+from quiltlab.moment_figure import (TRIANGLE, ellipse_residual,
                                     emit_moment_figure, figure_csv_strings,
                                     figure_svg, write_figure_csvs)
 
@@ -35,8 +35,8 @@ def test_lac_segment_endpoints(fig):
 
 
 def test_ellipse_vanishes_exactly_in_rational_arithmetic():
-    assert ellipse_residual_exact(Fraction(-1, 150), Fraction(-1, 6)) == 0
-    assert ellipse_residual_exact(Fraction(0), Fraction(-1, 4)) == 0
+    assert ellipse_residual(Fraction(-1, 150), Fraction(-1, 6)) == 0
+    assert ellipse_residual(Fraction(0), Fraction(-1, 4)) == 0
 
 
 def test_right_edge_lies_on_ellipse(fig):

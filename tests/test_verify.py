@@ -1,3 +1,4 @@
+import contextlib
 import json
 import math
 
@@ -5,17 +6,19 @@ import numpy as np
 import pytest
 
 from quiltlab import catalog
-from quiltlab.analysis import BlaschkeData
+from quiltlab.analysis import BlaschkeData, HerglotzBatch
 from quiltlab.catalog import (Quilt, all_floer_strips,
                               make_const_projection_quilt,
-                              make_eight_bubble_sheet_switch, with_blaschke)
-from quiltlab.floer import build_complex
+                              make_eight_bubble_sheet_switch,
+                              make_maslov1_quilt, with_blaschke)
+from quiltlab.floer import EndpointError, build_complex, endpoints
 from quiltlab.geometry import LagrangianId
 from quiltlab.verify import (MASLOV1_PROFILE, STRICT_PROFILE,
                              _maslov1_limit_diagnostics,
-                             boundary_residual_profile, default_profile,
-                             limit_strip, patch_area, seam_residual_profile,
-                             sweep_family, verify_quilt)
+                             boundary_residual_profile, cr_residual_profile,
+                             default_profile, limit_strip, patch_area,
+                             seam_residual_profile, sweep_family,
+                             verify_quilt)
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +198,47 @@ def test_maslov1_report_passes(maslov1_pi4):
     assert abs(report.total_area - 0.5) <= 5e-3
     assert all(hc["max"] <= MASLOV1_PROFILE.cr_tol
                for hc in report.holomorphy)
+
+
+# ---------------------------------------------------------------------------
+# small heights, where x_cap = 1280 h / pi < 50 clips every sample grid
+
+# 200 heights on (1e-4, 0.123), with three at which a cap recomputed from
+# pi Re z / 2h disagreed with the grids' x_cap by rounding
+SMALL_HEIGHTS = sorted({*np.round(np.geomspace(1.1e-4, 0.1229, 200), 6),
+                        0.0074, 0.0106, 0.0119})
+
+
+def _unit_batch(w, p, settings, want_deriv=False):
+    """A Herglotz batch with I = 0, that is f = 1, at every point."""
+    zero = np.zeros(w.shape, dtype=complex)
+    return HerglotzBatch(zero, zero if want_deriv else None,
+                         np.zeros((1 + want_deriv, w.size)),
+                         np.ones(w.size, dtype=bool), 0)
+
+
+def test_every_check_samples_inside_the_strip_map_cap(monkeypatch):
+    # the engine is replaced by f = 1, so each check still passes every
+    # point it asks for through analysis.halfplane_points, at little cost
+    monkeypatch.setattr(catalog, "herglotz_batch", _unit_batch)
+    for h in SMALL_HEIGHTS:
+        quilt = make_maslov1_quilt(h, 0, 1, +1)
+        u2 = quilt.patches[0]
+        seam_residual_profile(quilt, samples=MASLOV1_PROFILE.samples)
+        for i in range(len(quilt.boundaries)):
+            boundary_residual_profile(quilt, i,
+                                      samples=MASLOV1_PROFILE.samples)
+        cr_residual_profile(u2, samples=MASLOV1_PROFILE.cr_samples)
+        patch_area(u2)
+        with contextlib.suppress(EndpointError):     # f = 1 has no ends
+            endpoints(u2)
+
+
+@pytest.mark.parametrize("h", [0.0119, 0.005])
+def test_maslov1_report_at_small_height(h):
+    report = verify_quilt(make_maslov1_quilt(h, 0, 1, +1))
+    assert report.seams[0]["failures"] == 0
+    assert all(b["failures"] == 0 for b in report.boundaries)
 
 
 # ---------------------------------------------------------------------------
